@@ -1,0 +1,138 @@
+"""Golden bytes of `arcfill solve` and `arcfill kernelize` output.
+
+Each case pins the exit codes of both subcommands and a digest of the
+solution file and the kernel file they write.  The cases cover every
+problem on every route of the pipeline: rejection before the kernel,
+trivial kernel verdicts, kernel `unchanged` plus search, kernel `reduced`
+plus search plus lift, and the number problem plus flow realization.  The
+anonymity number route needs budgets above 512 and is not covered (its
+number solver does not finish there in a test's time).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import random
+
+import pytest
+
+from arcfill import (
+    AnonymityCompletion,
+    DegreeListFunction,
+    DegreeSequence,
+    Digraph,
+    ListCompletion,
+    SequenceCompletion,
+)
+from arcfill.cli import emit_instance, run
+from conftest import (
+    anonymity_example,
+    list_example_no,
+    list_example_yes,
+    random_anonymity_instance,
+    random_list_instance,
+    random_sequence_instance,
+    sequence_example,
+)
+
+
+def _cases():
+    def seeded(generator, seed):
+        return generator(random.Random(seed))
+
+    return {
+        # ddconc
+        "ddconc-trivial-no": seeded(random_list_instance, 7),
+        "ddconc-trivial-yes": seeded(random_list_instance, 2),
+        "ddconc-unchanged-search-no": seeded(random_list_instance, 0),
+        "ddconc-unchanged-search-yes": seeded(random_list_instance, 6),
+        "ddconc-reduced-search-no": seeded(random_list_instance, 1),
+        "ddconc-reduced-search-yes": seeded(random_list_instance, 3),
+        "ddconc-reduced-search-planted": ListCompletion(
+            Digraph(10),
+            1,
+            DegreeListFunction([[(0, 1)], [(1, 0)]] + [[(0, 0), (1, 0)]] * 8),
+        ),
+        "ddconc-number-flow": ListCompletion(
+            Digraph(8), 3, DegreeListFunction.uniform(8, [(0, 0), (1, 1)])
+        ),
+        "ddconc-fixture-yes": list_example_yes(),
+        "ddconc-fixture-no": list_example_no(),
+        # ddseqc
+        "ddseqc-rejected": seeded(random_sequence_instance, 0),
+        "ddseqc-trivial-no": SequenceCompletion(
+            Digraph(3, [(0, 1), (0, 2)]), DegreeSequence([(1, 1)] * 3)
+        ),
+        "ddseqc-trivial-yes": seeded(random_sequence_instance, 7),
+        "ddseqc-unchanged-search": seeded(random_sequence_instance, 1),
+        "ddseqc-reduced-search": SequenceCompletion(
+            Digraph(12), DegreeSequence([(1, 0), (0, 1)] + [(0, 0)] * 10)
+        ),
+        "ddseqc-number-flow": SequenceCompletion(
+            Digraph(8), DegreeSequence([(1, 1)] * 3 + [(0, 0)] * 5)
+        ),
+        "ddseqc-fixture": sequence_example(),
+        # dda
+        "dda-trivial-no": seeded(random_anonymity_instance, 4),
+        "dda-trivial-yes": seeded(random_anonymity_instance, 2),
+        "dda-unchanged-search-no": seeded(random_anonymity_instance, 0),
+        "dda-unchanged-search-yes": seeded(random_anonymity_instance, 3),
+        "dda-reduced-search": AnonymityCompletion(Digraph(40, [(0, 1)]), 2, 1),
+        "dda-fixture": anonymity_example(),
+    }
+
+
+# case -> (solve exit code, kernelize exit code, digest of both output files)
+GOLDEN = {
+    "ddconc-trivial-no": (1, 1, "8f8b9641265f8abb"),
+    "ddconc-trivial-yes": (0, 0, "64917221fdded839"),
+    "ddconc-unchanged-search-no": (1, 0, "3e5481a3ee6f39c1"),
+    "ddconc-unchanged-search-yes": (0, 0, "f72e3ddb51df029a"),
+    "ddconc-reduced-search-no": (1, 0, "2197edf7a3ad03f3"),
+    "ddconc-reduced-search-yes": (0, 0, "899230a8ea1c0aa4"),
+    "ddconc-reduced-search-planted": (0, 0, "fdef9a86d9e5265f"),
+    "ddconc-number-flow": (0, 0, "6c76ae3b6b325992"),
+    "ddconc-fixture-yes": (0, 0, "8bf22f5cbe6e120f"),
+    "ddconc-fixture-no": (1, 0, "30c63c54b6bc3363"),
+    "ddseqc-rejected": (1, 1, "438d228f7c56e4ef"),
+    "ddseqc-trivial-no": (1, 1, "7b16882a919da147"),
+    "ddseqc-trivial-yes": (0, 0, "1a1d8ef68daf8681"),
+    "ddseqc-unchanged-search": (0, 0, "97a93c1d24af1366"),
+    "ddseqc-reduced-search": (0, 0, "fe57ed9533e210a7"),
+    "ddseqc-number-flow": (0, 0, "cdbf52dda3aca46d"),
+    "ddseqc-fixture": (0, 0, "5af3662155378296"),
+    "dda-trivial-no": (1, 1, "973745abfca6951d"),
+    "dda-trivial-yes": (0, 0, "949f27ffbf0162ad"),
+    "dda-unchanged-search-no": (1, 0, "3268946eda86f972"),
+    "dda-unchanged-search-yes": (0, 0, "16fd8c0be659318f"),
+    "dda-reduced-search": (0, 0, "3cfe0c6a9ca8c490"),
+    "dda-fixture": (0, 0, "54e11b686542db65"),
+}
+
+
+def _outputs(tmp_path, instance):
+    source = tmp_path / "instance.json"
+    solution = tmp_path / "solution.json"
+    kernel = tmp_path / "kernel.json"
+    source.write_text(emit_instance(instance))
+    quiet = io.StringIO()
+    solved = run(
+        ["solve", "--input", str(source), "--output", str(solution)], quiet, quiet
+    )
+    kernelized = run(
+        ["kernelize", "--input", str(source), "--output", str(kernel)], quiet, quiet
+    )
+    digest = hashlib.sha256(
+        solution.read_bytes() + b"\0" + kernel.read_bytes()
+    ).hexdigest()[:16]
+    return solved, kernelized, digest
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_bytes(tmp_path, name):
+    assert _outputs(tmp_path, _cases()[name]) == GOLDEN[name]
+
+
+def test_every_case_is_pinned():
+    assert sorted(GOLDEN) == sorted(_cases())
