@@ -11,19 +11,14 @@ large ones; brute-force oracles back every solver for verification.
 """
 
 from .core import (
-    AnySequence,
     DegreeListFunction,
     DegreePair,
     DegreeSequence,
     Digraph,
     DuplicateArcError,
-    ExactSequence,
-    KAnonymous,
     LoopArcError,
-    SequenceProperty,
     add_arcs,
     blocks,
-    check_property,
     degree_sequence,
     is_satisfied,
     vertex_types,

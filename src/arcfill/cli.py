@@ -1,7 +1,8 @@
 """Command-line interface: JSON instance files, solving, verification,
 kernelization, seeded generation, and brute-force cross-checking.
 
-Exit codes: 0 = yes/pass, 1 = no/fail, 2 = usage, parse, or semantic error.
+Exit codes: 0 = yes/pass, 1 = no/fail, 2 = usage, parse, or semantic error,
+3 = internal error.
 All emitted JSON uses a fixed key order and two-space indentation, so equal
 objects serialize to identical bytes.
 """
@@ -22,13 +23,7 @@ from .core import (
     degree_sequence,
 )
 from .flow import DemandVector, build_network
-from .kernel import (
-    KernelResult,
-    KernelVerdict,
-    kernelize_dda,
-    kernelize_ddconc,
-    kernelize_ddseqc,
-)
+from .kernel import KernelResult, KernelVerdict
 from .numprob import (
     reduce_partition_to_nda,
     solve_nda,
@@ -47,9 +42,8 @@ from .problems import (
     ListCompletion,
     ProblemInstance,
     SequenceCompletion,
-    delta_star_cap,
 )
-from .search import Solution, solve, verify_solution
+from .search import Solution, kernelize, solve, verify_solution
 
 INSTANCE_FORMAT = "arcfill-instance"
 SOLUTION_FORMAT = "arcfill-solution"
@@ -214,17 +208,7 @@ def _instance_payload(instance: ProblemInstance) -> dict:
         "vertices": d.n,
         "arcs": [list(arc) for arc in d.sorted_arcs()],
     }
-    if isinstance(instance, ListCompletion):
-        data["budget"] = instance.budget
-        data["degree_bound"] = instance.allowed.bound
-        data["degree_lists"] = [
-            [list(p) for p in sorted(instance.allowed[v])] for v in range(d.n)
-        ]
-    elif isinstance(instance, SequenceCompletion):
-        data["target_sequence"] = [list(p) for p in instance.target]
-    else:
-        data["anonymity"] = instance.anonymity
-        data["budget"] = instance.budget
+    data.update(instance.wire_fields())
     return data
 
 
@@ -488,17 +472,7 @@ def _cmd_verify(args, out, err) -> int:
 
 def _cmd_kernelize(args, out, err) -> int:
     instance = parse_instance(_read(args.input))
-    if isinstance(instance, ListCompletion):
-        result = kernelize_ddconc(
-            instance.digraph,
-            instance.budget,
-            instance.allowed,
-            delta_star_cap(instance),
-        )
-    elif isinstance(instance, SequenceCompletion):
-        result = kernelize_ddseqc(instance.digraph, instance.target)
-    else:
-        result = kernelize_dda(instance.digraph, instance.anonymity, instance.budget)
+    result = kernelize(instance)
     print(f"verdict: {result.verdict.value}", file=out)
     if result.reason:
         print(f"reason: {result.reason.value}", file=out)
@@ -721,6 +695,10 @@ def run(argv, out=None, err=None) -> int:
     except (ParseError, SemanticError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 2
+    except Exception as exc:
+        # Anything else is a fault of the program, never an answer.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=err)
+        return 3
 
 
 def main() -> None:

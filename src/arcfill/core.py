@@ -8,8 +8,7 @@ deterministic.  Values are immutable after construction.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple
 
 Arc = tuple[int, int]
 
@@ -152,7 +151,7 @@ class Digraph:
 class DegreeSequence:
     """Ordered list of degree pairs; entry order carries vertex identity.
 
-    Equality is order-sensitive; use :meth:`multiset_equal` for the multiset
+    Equality is order-sensitive; use :meth:`as_multiset` for the multiset
     view.
     """
 
@@ -203,14 +202,6 @@ class DegreeSequence:
 
     def as_multiset(self) -> Counter:
         return Counter(self.entries)
-
-    def multiplicity(self, pair) -> int:
-        """Number of occurrences of the given pair."""
-        target = _as_pair(pair)
-        return sum(1 for e in self.entries if e == target)
-
-    def multiset_equal(self, other: "DegreeSequence") -> bool:
-        return self.as_multiset() == other.as_multiset()
 
     def is_k_anonymous(self, k: int) -> bool:
         """True iff every occurring pair occurs at least k times."""
@@ -268,32 +259,6 @@ class DegreeListFunction:
         return f"DegreeListFunction({shown!r}, bound={self.bound})"
 
 
-@dataclass(frozen=True)
-class AnySequence:
-    """Property satisfied by every degree sequence."""
-
-
-@dataclass(frozen=True)
-class ExactSequence:
-    """Property satisfied only by one target sequence (as a multiset)."""
-
-    target: DegreeSequence
-
-
-@dataclass(frozen=True)
-class KAnonymous:
-    """Property: every occurring pair occurs at least k times."""
-
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("anonymity level must be positive")
-
-
-SequenceProperty = Union[AnySequence, ExactSequence, KAnonymous]
-
-
 def degree_sequence(d: Digraph) -> DegreeSequence:
     """Degree pairs of all vertices, in canonical vertex order."""
     return DegreeSequence(d.degree(v) for v in range(d.n))
@@ -326,17 +291,6 @@ def vertex_types(
 def is_satisfied(d: Digraph, lists: DegreeListFunction, v: int) -> bool:
     """True iff v's current degree pair is in its allowed list."""
     return d.degree(v) in lists[v]
-
-
-def check_property(seq: DegreeSequence, prop: SequenceProperty) -> bool:
-    """Decide a sequence property; pure and total."""
-    if isinstance(prop, AnySequence):
-        return True
-    if isinstance(prop, ExactSequence):
-        return seq.multiset_equal(prop.target)
-    if isinstance(prop, KAnonymous):
-        return seq.is_k_anonymous(prop.k)
-    raise TypeError(f"unknown sequence property {prop!r}")
 
 
 def add_arcs(d: Digraph, new_arcs: Iterable[Arc]) -> Digraph:

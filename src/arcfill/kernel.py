@@ -1,9 +1,9 @@
 """Kernelization: shrink instances to equivalent ones of bounded size.
 
 The common engine keeps all unsatisfied vertices plus a bounded number of
-satisfied representatives per interchangeability class (type, degree block,
-or both).  Interchangeable vertices can replace each other in any solution,
-so a quota of ``2 * budget * (max_degree + 1)`` representatives per class
+satisfied representatives per interchangeability class (type or degree
+block).  Interchangeable vertices can replace each other in any solution, so
+a quota of ``2 * budget * (max_degree + 1)`` representatives per class
 preserves the answer.  The three kernelizers differ in how they repair the
 damage that deleting vertices does to the remaining degrees.
 """
@@ -40,7 +40,6 @@ class SolutionTouchesAddedVertexError(ValueError):
 class AlphaSetVariant(Enum):
     TYPE_SET = "type"
     BLOCK_SET = "block"
-    BLOCK_TYPE_SET = "block_type"
 
 
 class KernelVerdict(Enum):
@@ -109,12 +108,7 @@ def compute_alpha_set(
         if spec.variant is AlphaSetVariant.BLOCK_SET:
             keys = [d.degree(v)]
         else:
-            types = vertex_types(d, lists, v, spec.cap) - {DegreePair(0, 0)}
-            if spec.variant is AlphaSetVariant.TYPE_SET:
-                keys = sorted(types)
-            else:
-                deg = d.degree(v)
-                keys = [(deg, t) for t in sorted(types)]
+            keys = sorted(vertex_types(d, lists, v, spec.cap) - {DegreePair(0, 0)})
         if any(counters[key] < spec.alpha for key in keys):
             result.add(v)
         for key in keys:

@@ -165,7 +165,8 @@ def solve_nddcc(
         target[i] = pair
         j -= pair.indeg - sigma[i].indeg
         l -= pair.outdeg - sigma[i].outdeg
-    assert (j, l) == (0, 0)
+    if (j, l) != (0, 0):
+        raise AssertionError(f"reconstruction ended at {(j, l)}, not (0, 0)")
     result = DegreeSequence(target)
     return NumberSolution(result, demands_from_solution(sigma, result))
 

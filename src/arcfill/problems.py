@@ -3,18 +3,43 @@
 Wire names (used by the CLI and file formats): ``ddconc`` for per-vertex
 degree-list completion, ``ddseqc`` for exact-target-sequence completion,
 ``dda`` for k-anonymous completion.
+
+Each type tells the pipeline what differs between the problems: the cap on
+solution degrees, the budget that sizes the search, the instance actually
+solved at a budget, the final-degree condition, and its file fields.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Union
 
-from .core import DegreeListFunction, DegreeSequence, Digraph, degree_sequence
+from .core import DegreeListFunction, DegreeSequence, Digraph
+
+
+def _free_pairs(d: Digraph) -> int:
+    """Number of insertable arcs: ordered vertex pairs that are not arcs."""
+    return d.n * (d.n - 1) - d.m
+
+
+def _roof(d: Digraph) -> int:
+    # No simple digraph on n vertices has a degree above n - 1.
+    return max(d.n - 1, 0)
+
+
+class _Problem:
+    """Defaults shared by the instance types."""
+
+    exact_size = False  # True when the budget fixes the size, not bounds it
+    lists = None  # per-vertex allowed degree pairs, when the problem has them
+
+    def size_budget(self) -> int | None:
+        return self.budget
 
 
 @dataclass(frozen=True)
-class ListCompletion:
+class ListCompletion(_Problem):
     """Insert at most ``budget`` arcs so every vertex hits an allowed pair."""
 
     digraph: Digraph
@@ -28,10 +53,49 @@ class ListCompletion:
             raise ValueError("allowed lists must cover every vertex")
 
     kind = "ddconc"
+    final_key = "degree_lists_satisfied"
+
+    @property
+    def lists(self) -> DegreeListFunction:
+        return self.allowed
+
+    def degree_cap(self) -> int:
+        d = self.digraph
+        return min(self.allowed.bound, d.max_degree + self.budget, _roof(d))
+
+    def at_budget(self, s: int) -> "ListCompletion":
+        # Degree pairs beyond n - 1 per component can never be realized in a
+        # simple digraph, so dropping them preserves the answer and keeps the
+        # number-problem route aligned with what flows can install.
+        d = self.digraph
+        roof = _roof(d)
+        trimmed = DegreeListFunction(
+            [
+                [p for p in self.allowed[v] if p.max_component <= roof]
+                for v in range(d.n)
+            ],
+            bound=min(self.allowed.bound, roof),
+        )
+        return ListCompletion(d, min(s, _free_pairs(d)), trimmed)
+
+    def final_check(self):
+        lists = self.allowed.lists
+        return lambda indeg, outdeg: all(
+            (i, o) in allowed for i, o, allowed in zip(indeg, outdeg, lists)
+        )
+
+    def wire_fields(self) -> dict:
+        return {
+            "budget": self.budget,
+            "degree_bound": self.allowed.bound,
+            "degree_lists": [
+                [list(p) for p in sorted(entry)] for entry in self.allowed.lists
+            ],
+        }
 
 
 @dataclass(frozen=True)
-class SequenceCompletion:
+class SequenceCompletion(_Problem):
     """Insert arcs so the degree sequence equals ``target`` as a multiset."""
 
     digraph: Digraph
@@ -42,22 +106,41 @@ class SequenceCompletion:
             raise ValueError("target length must equal vertex count")
 
     kind = "ddseqc"
+    final_key = "target_sequence_matched"
+    exact_size = True
 
     def implied_insertions(self) -> int | None:
         """Arc count forced by the target, or None if the totals are invalid."""
-        grow_in = self.target.sum_indeg - sum(
-            self.digraph.indegree(v) for v in range(self.digraph.n)
-        )
-        grow_out = self.target.sum_outdeg - sum(
-            self.digraph.outdegree(v) for v in range(self.digraph.n)
-        )
+        # Indegrees and outdegrees of a digraph each sum to its arc count.
+        grow_in = self.target.sum_indeg - self.digraph.m
+        grow_out = self.target.sum_outdeg - self.digraph.m
         if grow_in != grow_out or grow_in < 0:
             return None
         return grow_in
 
+    def degree_cap(self) -> int:
+        return min(self.target.max_component, _roof(self.digraph))
+
+    def size_budget(self) -> int | None:
+        return self.implied_insertions()
+
+    def at_budget(self, s: int | None) -> "SequenceCompletion | None":
+        d = self.digraph
+        if s is None or s > _free_pairs(d) or self.target.max_component > _roof(d):
+            return None
+        return self
+
+    def final_check(self):
+        # A plain dict, so comparing a Counter against it runs dict equality.
+        target = dict(self.target.as_multiset())
+        return lambda indeg, outdeg: Counter(zip(indeg, outdeg)) == target
+
+    def wire_fields(self) -> dict:
+        return {"target_sequence": [list(p) for p in self.target]}
+
 
 @dataclass(frozen=True)
-class AnonymityCompletion:
+class AnonymityCompletion(_Problem):
     """Insert at most ``budget`` arcs so every degree pair occurs >= k times."""
 
     digraph: Digraph
@@ -71,6 +154,24 @@ class AnonymityCompletion:
             raise ValueError("budget must be nonnegative")
 
     kind = "dda"
+    final_key = "anonymity_reached"
+
+    def degree_cap(self) -> int:
+        d = self.digraph
+        return min(dda_delta_star_cap(d, self.anonymity, self.budget), _roof(d))
+
+    def at_budget(self, s: int) -> "AnonymityCompletion":
+        d = self.digraph
+        return AnonymityCompletion(d, self.anonymity, min(s, _free_pairs(d)))
+
+    def final_check(self):
+        k = self.anonymity
+        return lambda indeg, outdeg: all(
+            c >= k for c in Counter(zip(indeg, outdeg)).values()
+        )
+
+    def wire_fields(self) -> dict:
+        return {"anonymity": self.anonymity, "budget": self.budget}
 
 
 ProblemInstance = Union[ListCompletion, SequenceCompletion, AnonymityCompletion]
@@ -94,18 +195,4 @@ def delta_star_cap(instance: ProblemInstance) -> int:
     it; this keeps demand realization applicable whenever the cap is beaten
     by the budget.
     """
-    d = instance.digraph
-    roof = max(d.n - 1, 0)
-    if isinstance(instance, ListCompletion):
-        return min(instance.allowed.bound, d.max_degree + instance.budget, roof)
-    if isinstance(instance, SequenceCompletion):
-        return min(instance.target.max_component, roof)
-    if isinstance(instance, AnonymityCompletion):
-        return min(
-            dda_delta_star_cap(d, instance.anonymity, instance.budget), roof
-        )
-    raise TypeError(f"unknown instance {instance!r}")
-
-
-def instance_sequence(instance: ProblemInstance) -> DegreeSequence:
-    return degree_sequence(instance.digraph)
+    return instance.degree_cap()

@@ -9,15 +9,9 @@ realization is then guaranteed to install as concrete arcs.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
-from .core import (
-    DegreeListFunction,
-    DegreePair,
-    Digraph,
-    degree_sequence,
-)
+from .core import DegreePair, degree_sequence
 from .flow import DemandVector, realize_demands
 from .kernel import (
     AlphaSetSpec,
@@ -31,14 +25,7 @@ from .kernel import (
     lift_solution,
 )
 from .numprob import solve_nda, solve_nddcc, solve_nddsc
-from .problems import (
-    AnonymityCompletion,
-    ListCompletion,
-    ProblemInstance,
-    SequenceCompletion,
-    dda_delta_star_cap,
-    delta_star_cap,
-)
+from .problems import ProblemInstance, dda_delta_star_cap, delta_star_cap
 
 Arc = tuple[int, int]
 
@@ -48,6 +35,7 @@ __all__ = [
     "solve_bounded",
     "verify_solution",
     "build_certificate",
+    "kernelize",
     "dda_delta_star_cap",
 ]
 
@@ -77,38 +65,20 @@ def build_certificate(instance: ProblemInstance, arcs) -> dict[str, bool]:
             for (u, v) in unique
         )
     )
-    cert = {"arcs_insertable": insertable}
-    if not insertable:
-        final = None
-    else:
-        gained_in = [0] * d.n
-        gained_out = [0] * d.n
+    size = instance.size_budget()
+    within = size is not None and (
+        len(unique) == size if instance.exact_size else len(unique) <= size
+    )
+    cert = {"arcs_insertable": insertable, "within_budget": within}
+    final_ok = False
+    if insertable:
+        indeg = [d.indegree(v) for v in range(d.n)]
+        outdeg = [d.outdegree(v) for v in range(d.n)]
         for (u, v) in unique:
-            gained_out[u] += 1
-            gained_in[v] += 1
-        final = [
-            DegreePair(d.indegree(v) + gained_in[v], d.outdegree(v) + gained_out[v])
-            for v in range(d.n)
-        ]
-    if isinstance(instance, ListCompletion):
-        cert["within_budget"] = len(unique) <= instance.budget
-        cert["degree_lists_satisfied"] = final is not None and all(
-            final[v] in instance.allowed[v] for v in range(d.n)
-        )
-    elif isinstance(instance, SequenceCompletion):
-        implied = instance.implied_insertions()
-        cert["within_budget"] = implied is not None and len(unique) == implied
-        cert["target_sequence_matched"] = final is not None and Counter(
-            final
-        ) == instance.target.as_multiset()
-    elif isinstance(instance, AnonymityCompletion):
-        cert["within_budget"] = len(unique) <= instance.budget
-        counts = Counter(final) if final is not None else None
-        cert["anonymity_reached"] = counts is not None and all(
-            c >= instance.anonymity for c in counts.values()
-        )
-    else:
-        raise TypeError(f"unknown instance {instance!r}")
+            outdeg[u] += 1
+            indeg[v] += 1
+        final_ok = instance.final_check()(indeg, outdeg)
+    cert[instance.final_key] = final_ok
     return cert
 
 
@@ -119,9 +89,10 @@ def verify_solution(instance: ProblemInstance, solution: Solution) -> bool:
 
 def _finish(instance: ProblemInstance, arcs) -> Solution:
     cert = build_certificate(instance, arcs)
-    solution = Solution(tuple(arcs), cert)
-    assert all(cert.values()), f"solver produced an invalid solution: {cert}"
-    return solution
+    # An explicit raise, so the self-check also runs under ``python -O``.
+    if not all(cert.values()):
+        raise AssertionError(f"solver produced an invalid solution: {cert}")
+    return Solution(tuple(arcs), cert)
 
 
 def solve_bounded(
@@ -136,33 +107,16 @@ def solve_bounded(
     degree cap.
     """
     d = instance.digraph
-    if isinstance(instance, ListCompletion):
-        budget = instance.budget
-        sizes = None  # 0..budget
-        spec = AlphaSetSpec(
-            max(1, 2 * budget * (d.max_degree + 1)),
-            AlphaSetVariant.TYPE_SET,
-            delta_star_cap(instance),
-        )
-        chosen = compute_alpha_set(d, instance.allowed, spec)
-    elif isinstance(instance, SequenceCompletion):
-        budget = instance.implied_insertions()
-        if budget is None:
-            return None
-        sizes = [budget]
-        spec = AlphaSetSpec(
-            max(1, 2 * budget * (d.max_degree + 1)), AlphaSetVariant.BLOCK_SET
-        )
-        chosen = compute_alpha_set(d, None, spec)
-    elif isinstance(instance, AnonymityCompletion):
-        budget = instance.budget
-        sizes = None
-        spec = AlphaSetSpec(
-            max(1, 2 * budget * (d.max_degree + 1)), AlphaSetVariant.BLOCK_SET
-        )
-        chosen = compute_alpha_set(d, None, spec)
-    else:
-        raise TypeError(f"unknown instance {instance!r}")
+    budget = instance.size_budget()
+    if budget is None:
+        return None
+    lists = instance.lists
+    spec = AlphaSetSpec(
+        max(1, 2 * budget * (d.max_degree + 1)),
+        AlphaSetVariant.BLOCK_SET if lists is None else AlphaSetVariant.TYPE_SET,
+        delta_star_cap(instance),
+    )
+    chosen = compute_alpha_set(d, lists, spec)
     if restrict_to is not None:
         chosen &= restrict_to
     pairs = sorted(
@@ -171,33 +125,13 @@ def solve_bounded(
         for v in chosen
         if u != v and (u, v) not in d.arcs
     )
-    if sizes is None:
-        sizes = range(0, min(budget, len(pairs)) + 1)
-    elif any(size > len(pairs) for size in sizes):
+    if instance.exact_size and budget > len(pairs):
         return None
+    sizes = [budget] if instance.exact_size else range(min(budget, len(pairs)) + 1)
 
     indeg = [d.indegree(v) for v in range(d.n)]
     outdeg = [d.outdegree(v) for v in range(d.n)]
-    lists = instance.allowed if isinstance(instance, ListCompletion) else None
-    target_counts = (
-        instance.target.as_multiset()
-        if isinstance(instance, SequenceCompletion)
-        else None
-    )
-    anonymity = (
-        instance.anonymity if isinstance(instance, AnonymityCompletion) else None
-    )
-
-    def valid_now() -> bool:
-        if lists is not None:
-            return all(
-                DegreePair(indeg[v], outdeg[v]) in lists[v] for v in range(d.n)
-            )
-        counts = Counter(zip(indeg, outdeg))
-        if target_counts is not None:
-            return counts == {tuple(p): c for p, c in target_counts.items()}
-        return all(c >= anonymity for c in counts.values())
-
+    valid_now = instance.final_check()
     chosen_arcs: list[Arc] = []
 
     def dfs(start: int, remaining: int) -> tuple[Arc, ...] | None:
@@ -212,7 +146,7 @@ def solve_bounded(
             if unsatisfied > 2 * remaining:
                 return None
         if remaining == 0:
-            return tuple(chosen_arcs) if valid_now() else None
+            return tuple(chosen_arcs) if valid_now(indeg, outdeg) else None
         for idx in range(start, len(pairs)):
             if len(pairs) - idx < remaining:
                 break
@@ -235,112 +169,45 @@ def solve_bounded(
     return None
 
 
-def _capacity(d: Digraph) -> int:
-    return d.n * (d.n - 1) - d.m
+def _demands(number) -> DemandVector | None:
+    return None if number is None else number.demands
 
 
-def _lifted(instance: ProblemInstance, result: KernelResult, inner: Solution | None):
-    if inner is None:
+def _matched_demands(work, sequence, budget, cap) -> DemandVector | None:
+    matching = solve_nddsc(sequence, work.target)
+    if matching is None:
         return None
-    return _finish(instance, lift_solution(result, inner.arcs))
-
-
-def _solve_list(instance: ListCompletion) -> Solution | None:
-    d = instance.digraph
-    roof = max(d.n - 1, 0)
-    # Degree pairs beyond n - 1 per component can never be realized in a
-    # simple digraph, so dropping them preserves the answer and keeps the
-    # number-problem route aligned with what flows can install.
-    trimmed = DegreeListFunction(
-        [
-            [p for p in instance.allowed[v] if p.max_component <= roof]
-            for v in range(d.n)
-        ],
-        bound=min(instance.allowed.bound, roof),
+    target = [work.target[j] for j in matching.mapping]
+    return DemandVector(
+        tuple(t.indeg - e.indeg for t, e in zip(target, sequence)),
+        tuple(t.outdeg - e.outdeg for t, e in zip(target, sequence)),
     )
-    s = min(instance.budget, _capacity(d))
-    sequence = degree_sequence(d)
-    while True:
-        cap = delta_star_cap(ListCompletion(d, s, trimmed))
-        threshold = 2 * cap * cap
-        if s <= threshold:
-            break
-        for budget in range(threshold + 1, s + 1):
-            number = solve_nddcc(sequence, budget, trimmed)
-            if number is not None:
-                arcs = realize_demands(d, number.demands, cap)
-                return _finish(instance, arcs)
-        s = threshold
-    result = kernelize_ddconc(d, s, trimmed, cap)
-    if result.verdict is KernelVerdict.TRIVIAL_NO:
-        return None
-    if result.verdict is KernelVerdict.TRIVIAL_YES:
-        return _finish(instance, ())
-    inner = solve_bounded(result.instance)
-    return _lifted(instance, result, inner)
 
 
-def _solve_sequence(instance: SequenceCompletion) -> Solution | None:
-    d = instance.digraph
-    s = instance.implied_insertions()
-    if s is None or s > _capacity(d):
-        return None
-    if instance.target.max_component > max(d.n - 1, 0):
-        return None
-    cap = delta_star_cap(instance)
-    if s > 2 * cap * cap:
-        matching = solve_nddsc(degree_sequence(d), instance.target)
-        if matching is None:
-            return None
-        demands = DemandVector(
-            tuple(
-                instance.target[matching[i]].indeg - d.indegree(i)
-                for i in range(d.n)
-            ),
-            tuple(
-                instance.target[matching[i]].outdeg - d.outdegree(i)
-                for i in range(d.n)
-            ),
-        )
-        arcs = realize_demands(d, demands, cap)
-        return _finish(instance, arcs)
-    result = kernelize_ddseqc(d, instance.target)
-    if result.verdict is KernelVerdict.TRIVIAL_NO:
-        return None
-    if result.verdict is KernelVerdict.TRIVIAL_YES:
-        return _finish(instance, ())
-    if result.verdict is KernelVerdict.UNCHANGED:
-        return solve_bounded(instance)
-    inner = solve_bounded(result.instance, restrict_to=set(result.kept))
-    return _lifted(instance, result, inner)
+# Per problem: the number step (instance, degree sequence, budget, cap) ->
+# demands or None, and the kernel step (instance, cap) -> KernelResult.
+# Both look the solvers up as module globals at call time.
+_STEPS = {
+    "ddconc": (
+        lambda work, seq, b, cap: _demands(solve_nddcc(seq, b, work.allowed)),
+        lambda work, cap: kernelize_ddconc(
+            work.digraph, work.budget, work.allowed, cap
+        ),
+    ),
+    "ddseqc": (
+        _matched_demands,
+        lambda work, cap: kernelize_ddseqc(work.digraph, work.target),
+    ),
+    "dda": (
+        lambda work, seq, b, cap: _demands(solve_nda(seq, b, work.anonymity, cap)),
+        lambda work, cap: kernelize_dda(work.digraph, work.anonymity, work.budget),
+    ),
+}
 
 
-def _solve_anonymity(instance: AnonymityCompletion) -> Solution | None:
-    d = instance.digraph
-    k = instance.anonymity
-    s = min(instance.budget, _capacity(d))
-    sequence = degree_sequence(d)
-    roof = max(d.n - 1, 0)
-    while True:
-        cap = min(dda_delta_star_cap(d, k, s), roof)
-        threshold = 2 * cap * cap
-        if s <= threshold:
-            break
-        for budget in range(threshold + 1, s + 1):
-            number = solve_nda(sequence, budget, k, cap)
-            if number is not None:
-                arcs = realize_demands(d, number.demands, cap)
-                return _finish(instance, arcs)
-        s = threshold
-    result = kernelize_dda(d, k, s)
-    if result.verdict is KernelVerdict.TRIVIAL_NO:
-        return None
-    if result.verdict is KernelVerdict.TRIVIAL_YES:
-        return _finish(instance, ())
-    if result.verdict is KernelVerdict.UNCHANGED:
-        return solve_bounded(result.instance)
-    inner = solve_bounded(result.instance, restrict_to=set(result.kept))
-    return _lifted(instance, result, inner)
+def kernelize(instance: ProblemInstance) -> KernelResult:
+    """The pipeline's kernel step, applied to an instance at its own budget."""
+    return _STEPS[instance.kind][1](instance, delta_star_cap(instance))
 
 
 def solve(instance: ProblemInstance) -> Solution | None:
@@ -351,10 +218,34 @@ def solve(instance: ProblemInstance) -> Solution | None:
     search.  Every returned solution re-verifies against the original
     instance; identical inputs produce identical solutions.
     """
-    if isinstance(instance, ListCompletion):
-        return _solve_list(instance)
-    if isinstance(instance, SequenceCompletion):
-        return _solve_sequence(instance)
-    if isinstance(instance, AnonymityCompletion):
-        return _solve_anonymity(instance)
-    raise TypeError(f"unknown instance {instance!r}")
+    work = instance.at_budget(instance.size_budget())
+    if work is None:
+        return None
+    d = instance.digraph
+    number_step, kernel_step = _STEPS[instance.kind]
+    s = work.size_budget()
+    while True:
+        cap = delta_star_cap(work)
+        threshold = 2 * cap * cap
+        if s <= threshold:
+            break
+        sequence = degree_sequence(d)
+        budgets = [s] if work.exact_size else range(threshold + 1, s + 1)
+        for budget in budgets:
+            demands = number_step(work, sequence, budget, cap)
+            if demands is not None:
+                return _finish(instance, realize_demands(d, demands, cap))
+        if work.exact_size:
+            # The size is forced, so no smaller budget is left to try.
+            return None
+        s = threshold
+        work = work.at_budget(s)
+    result = kernel_step(work, cap)
+    if result.verdict is KernelVerdict.TRIVIAL_NO:
+        return None
+    if result.verdict is KernelVerdict.TRIVIAL_YES:
+        return _finish(instance, ())
+    inner = solve_bounded(result.instance, restrict_to=set(result.kept))
+    if inner is None:
+        return None
+    return _finish(instance, lift_solution(result, inner.arcs))

@@ -273,3 +273,17 @@ def test_usage_and_io_errors(tmp_path):
     bad.write_text("{not json")
     code, out, err = _run(["solve", "--input", str(bad)])
     assert code == 2 and "error:" in err
+
+
+def test_internal_error_exits_3(tmp_path, monkeypatch):
+    instance_path = tmp_path / "instance.json"
+    instance_path.write_text(emit_instance(sequence_example()))
+
+    def overflow(instance):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("arcfill.cli.solve", overflow)
+    code, out, err = _run(["solve", "--input", str(instance_path)])
+    assert code == 3
+    assert "internal error: RecursionError" in err
+    assert "decision" not in out

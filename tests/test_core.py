@@ -5,18 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcfill import (
-    AnySequence,
     DegreeListFunction,
     DegreePair,
     DegreeSequence,
     Digraph,
     DuplicateArcError,
-    ExactSequence,
-    KAnonymous,
     LoopArcError,
     add_arcs,
     blocks,
-    check_property,
     degree_sequence,
     is_satisfied,
     vertex_types,
@@ -86,15 +82,12 @@ def test_is_satisfied_examples():
     assert not is_satisfied(middle, DegreeListFunction([[(0, 1)], [(2, 0)], [(1, 1)]]), 1)
 
 
-def test_check_property_examples():
+def test_is_k_anonymous_examples():
     seven_equal = DegreeSequence([(1, 1)] * 7)
-    assert check_property(seven_equal, KAnonymous(7))
+    assert seven_equal.is_k_anonymous(7)
     mixed = DegreeSequence([(0, 1), (1, 0), (1, 1)])
-    assert not check_property(mixed, KAnonymous(2))
-    assert check_property(DegreeSequence(()), KAnonymous(3))
-    assert check_property(mixed, AnySequence())
-    assert check_property(mixed, ExactSequence(DegreeSequence([(1, 1), (0, 1), (1, 0)])))
-    assert not check_property(mixed, ExactSequence(DegreeSequence([(1, 1)] * 3)))
+    assert not mixed.is_k_anonymous(2)
+    assert DegreeSequence(()).is_k_anonymous(3)
 
 
 def test_add_arcs_examples():
@@ -185,4 +178,4 @@ def test_satisfaction_matches_zero_type(d: Digraph, data):
 
 @given(digraphs())
 def test_one_anonymous_always(d: Digraph):
-    assert check_property(degree_sequence(d), KAnonymous(1))
+    assert degree_sequence(d).is_k_anonymous(1)

@@ -1,5 +1,10 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from collections import Counter
+from pathlib import Path
 
 from arcfill import (
     AnonymityCompletion,
@@ -234,3 +239,33 @@ def test_anonymity_reduced_kernel_path_finds_solution():
     assert verify_solution(inst, solution)
     # One fewer than needed everywhere: k = n forces a no.
     assert solve(AnonymityCompletion(d, 36, 1)) is None
+
+
+def test_self_check_survives_optimize_flag():
+    """A failed certificate check raises even when ``python -O`` strips asserts."""
+    script = textwrap.dedent(
+        """
+        import sys
+        import arcfill.search as search
+        from arcfill import AnonymityCompletion, Digraph
+
+        if __debug__:
+            sys.exit("expected to run under -O")
+        search.build_certificate = lambda instance, arcs: {"arcs_insertable": False}
+        digraph = Digraph(7, [(0, 1), (1, 0), (2, 3), (3, 2), (5, 4), (6, 5)])
+        try:
+            search.solve(AnonymityCompletion(digraph, 7, 1))
+        except AssertionError as exc:
+            print("raised:", exc)
+        else:
+            sys.exit("an invalid solution was returned")
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "raised: solver produced an invalid solution" in done.stdout
