@@ -16,12 +16,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 
-from .core import (
-    DegreeListFunction,
-    DegreeSequence,
-    Digraph,
-    degree_sequence,
-)
+from .core import DegreeListFunction, DegreeSequence, Digraph
 from .flow import DemandVector, build_network
 from .kernel import KernelResult, KernelVerdict
 from .numprob import (
