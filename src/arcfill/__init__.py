@@ -34,8 +34,6 @@ from .flow import (
     try_realize_demands,
 )
 from .kernel import (
-    AlphaSetSpec,
-    AlphaSetVariant,
     KernelResult,
     KernelVerdict,
     SolutionTouchesAddedVertexError,
@@ -49,7 +47,6 @@ from .kernel import (
 )
 from .numprob import (
     Bijection,
-    BlockTransitionPlan,
     ElementTooLargeError,
     LengthMismatchError,
     NegativeDemandError,
@@ -74,7 +71,6 @@ from .problems import (
     ProblemInstance,
     SequenceCompletion,
     dda_delta_star_cap,
-    delta_star_cap,
 )
 from .search import Solution, build_certificate, solve, solve_bounded, verify_solution
 

@@ -143,6 +143,21 @@ def _parse_pair_list(raw, context: str) -> list[tuple[int, int]]:
     return pairs
 
 
+def _parse_degree_lists(raw: list, bound: int) -> DegreeListFunction:
+    lists = []
+    for v, entry in enumerate(raw):
+        if not isinstance(entry, list):
+            raise ParseError(f"degree_lists[{v}] must be a list")
+        pairs = _parse_pair_list(entry, f"degree_lists[{v}]")
+        for (a, b) in pairs:
+            if a > bound or b > bound:
+                raise SemanticError(
+                    f"degree_lists[{v}]: pair ({a}, {b}) exceeds bound {bound}"
+                )
+        lists.append(pairs)
+    return DegreeListFunction(lists, bound=bound)
+
+
 def parse_instance(text: str) -> ProblemInstance:
     """Parse a graph-problem instance file."""
     data = _load(text)
@@ -165,18 +180,7 @@ def parse_instance(text: str) -> ProblemInstance:
             raise SemanticError(
                 f"degree_lists covers {len(raw_lists)} vertices, digraph has {n}"
             )
-        lists = []
-        for v, entry in enumerate(raw_lists):
-            if not isinstance(entry, list):
-                raise ParseError(f"degree_lists[{v}] must be a list")
-            pairs = _parse_pair_list(entry, f"degree_lists[{v}]")
-            for (a, b) in pairs:
-                if a > bound or b > bound:
-                    raise SemanticError(
-                        f"degree_lists[{v}]: pair ({a}, {b}) exceeds bound {bound}"
-                    )
-            lists.append(pairs)
-        return ListCompletion(digraph, budget, DegreeListFunction(lists, bound=bound))
+        return ListCompletion(digraph, budget, _parse_degree_lists(raw_lists, bound))
     if problem == "ddseqc":
         raw_target = _expect(data, "target_sequence", list, "ddseqc")
         target = _parse_pair_list(raw_target, "target_sequence")
@@ -228,18 +232,9 @@ def parse_number_instance(text: str) -> NumberInstance:
         raw_lists = _expect(data, "degree_lists", list, "nddcc")
         if len(raw_lists) != len(sequence):
             raise SemanticError("degree_lists must cover every sequence entry")
-        lists = []
-        for i, entry in enumerate(raw_lists):
-            pairs = _parse_pair_list(entry, f"degree_lists[{i}]")
-            for (a, b) in pairs:
-                if a > bound or b > bound:
-                    raise SemanticError(
-                        f"degree_lists[{i}]: pair ({a}, {b}) exceeds bound {bound}"
-                    )
-            lists.append(pairs)
         return NumberInstance(
             problem, sequence, budget=budget,
-            lists=DegreeListFunction(lists, bound=bound),
+            lists=_parse_degree_lists(raw_lists, bound),
         )
     if problem == "nddsc":
         target = DegreeSequence(
@@ -315,7 +310,9 @@ def parse_solution(text: str) -> tuple[str, str, list[tuple[int, int]]]:
     for item in raw:
         if not (isinstance(item, list) and len(item) == 2):
             raise ParseError("solution: each arc must be a pair")
-        arcs.append((int(item[0]), int(item[1])))
+        if not all(isinstance(x, int) for x in item):
+            raise ParseError("solution: arc endpoints must be integers")
+        arcs.append((item[0], item[1]))
     return problem, decision, arcs
 
 

@@ -249,11 +249,6 @@ class DegreeListFunction:
     def __hash__(self) -> int:
         return hash(self.lists)
 
-    @property
-    def total_pairs(self) -> int:
-        """Encoded size: the sum of all list lengths."""
-        return sum(len(entry) for entry in self.lists)
-
     def __repr__(self) -> str:
         shown = [sorted(tuple(p) for p in entry) for entry in self.lists]
         return f"DegreeListFunction({shown!r}, bound={self.bound})"

@@ -17,7 +17,6 @@ a realizing arc set always exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .core import Arc, Digraph
 
@@ -48,10 +47,6 @@ class DemandVector:
             raise ValueError("demand vectors must have equal length")
         if any(x < 0 for x in self.in_demand) or any(y < 0 for y in self.out_demand):
             raise ValueError("demands must be nonnegative")
-
-    @classmethod
-    def zeros(cls, n: int) -> "DemandVector":
-        return cls((0,) * n, (0,) * n)
 
     def __len__(self) -> int:
         return len(self.in_demand)
@@ -283,20 +278,3 @@ def realize_demands(d: Digraph, demands: DemandVector, delta_star: int) -> set[A
             "realization guarantee violated despite satisfied preconditions"
         )
     return arcs
-
-
-def apply_demands(
-    d: Digraph, demands: DemandVector, arcs: Iterable[Arc]
-) -> bool:
-    """Check that inserting the arcs changes each vertex degree by its demand."""
-    arcs = set(arcs)
-    gained_in = [0] * d.n
-    gained_out = [0] * d.n
-    for (u, v) in arcs:
-        gained_out[u] += 1
-        gained_in[v] += 1
-    return (
-        all((u, v) not in d.arcs and u != v for (u, v) in arcs)
-        and gained_in == list(demands.in_demand)
-        and gained_out == list(demands.out_demand)
-    )

@@ -37,11 +37,6 @@ class SolutionTouchesAddedVertexError(ValueError):
     """A kernel solution uses a repair vertex, so it cannot be lifted."""
 
 
-class AlphaSetVariant(Enum):
-    TYPE_SET = "type"
-    BLOCK_SET = "block"
-
-
 class KernelVerdict(Enum):
     REDUCED = "reduced"
     TRIVIAL_YES = "trivial_yes"
@@ -60,21 +55,6 @@ class TrivialNoReason(Enum):
 
 
 @dataclass(frozen=True)
-class AlphaSetSpec:
-    """Quota and classing rule for representative selection."""
-
-    alpha: int
-    variant: AlphaSetVariant
-    cap: int = 0
-
-    def __post_init__(self):
-        if self.alpha < 1:
-            raise ValueError("alpha must be positive")
-        if self.cap < 0:
-            raise ValueError("cap must be nonnegative")
-
-
-@dataclass(frozen=True)
 class KernelResult:
     """Reduced instance plus the bookkeeping needed to lift solutions back.
 
@@ -89,27 +69,37 @@ class KernelResult:
     reason: TrivialNoReason | None = None
 
 
+def quota(s: int, max_degree: int) -> int:
+    """Representatives kept per class at budget s."""
+    return max(1, 2 * s * (max_degree + 1))
+
+
 def compute_alpha_set(
-    d: Digraph, lists: DegreeListFunction | None, spec: AlphaSetSpec
+    d: Digraph, lists: DegreeListFunction | None, alpha: int, cap: int = 0
 ) -> set[int]:
-    """All unsatisfied vertices plus per-class satisfied representatives.
+    """All unsatisfied vertices plus ``alpha`` representatives per class.
 
     Scanning vertices in ascending index order, a satisfied vertex joins the
     set while any of its classes is below the quota; every scanned vertex
-    counts against all of its classes.  With ``lists`` None (block variant
-    without per-vertex constraints) every vertex counts as satisfied.
+    counts against all of its classes.  With ``lists`` None every vertex
+    counts as satisfied and its class is its degree block; otherwise its
+    classes are its vertex types up to ``cap``.
     """
+    if alpha < 1:
+        raise ValueError("alpha must be positive")
+    if cap < 0:
+        raise ValueError("cap must be nonnegative")
     result: set[int] = set()
     counters: Counter = Counter()
     for v in range(d.n):
-        if lists is not None and not is_satisfied(d, lists, v):
+        if lists is None:
+            keys = [d.degree(v)]
+        elif not is_satisfied(d, lists, v):
             result.add(v)
             continue
-        if spec.variant is AlphaSetVariant.BLOCK_SET:
-            keys = [d.degree(v)]
         else:
-            keys = sorted(vertex_types(d, lists, v, spec.cap) - {DegreePair(0, 0)})
-        if any(counters[key] < spec.alpha for key in keys):
+            keys = sorted(vertex_types(d, lists, v, cap) - {DegreePair(0, 0)})
+        if any(counters[key] < alpha for key in keys):
             result.add(v)
         for key in keys:
             counters[key] += 1
@@ -130,10 +120,6 @@ def reduce_trivial_no(
     return None
 
 
-def _quota(s: int, max_degree: int) -> int:
-    return max(1, 2 * s * (max_degree + 1))
-
-
 def kernelize_ddconc(
     d: Digraph, s: int, lists: DegreeListFunction, delta_star: int
 ) -> KernelResult:
@@ -150,8 +136,7 @@ def kernelize_ddconc(
     if s == 0:
         # Rule out above left no unsatisfied vertex, so nothing is needed.
         return KernelResult(KernelVerdict.TRIVIAL_YES, None)
-    spec = AlphaSetSpec(_quota(s, d.max_degree), AlphaSetVariant.TYPE_SET, delta_star)
-    chosen = compute_alpha_set(d, lists, spec)
+    chosen = compute_alpha_set(d, lists, quota(s, d.max_degree), delta_star)
     kept = sorted(chosen)
     kept_set = set(kept)
     kernel_digraph = d.induced(kept)
@@ -219,8 +204,7 @@ def kernelize_ddseqc(d: Digraph, target: DegreeSequence) -> KernelResult:
         # The block check above forces multiset equality when nothing may
         # be inserted.
         return KernelResult(KernelVerdict.TRIVIAL_YES, None)
-    spec = AlphaSetSpec(_quota(s, d.max_degree), AlphaSetVariant.BLOCK_SET)
-    chosen = compute_alpha_set(d, None, spec)
+    chosen = compute_alpha_set(d, None, quota(s, d.max_degree))
     if len(chosen) == d.n:
         instance = SequenceCompletion(d, target)
         return KernelResult(

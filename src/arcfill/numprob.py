@@ -61,45 +61,6 @@ class Bijection:
         return len(self.mapping)
 
 
-@dataclass(frozen=True)
-class BlockTransitionPlan:
-    """How many tuples move from each input block to each output type.
-
-    ``transitions`` maps (input type, output type) to a positive count;
-    ``used`` is the set of output types receiving at least one tuple;
-    ``max_value`` bounds every output component.
-    """
-
-    max_value: int
-    transitions: tuple[tuple[DegreePair, DegreePair, int], ...]
-    used: frozenset[DegreePair]
-
-    def validate(self, sigma: DegreeSequence, s: int, k: int) -> None:
-        counts = sigma.as_multiset()
-        outgoing: dict[DegreePair, int] = {}
-        inflow: dict[DegreePair, int] = {}
-        spent_in = spent_out = 0
-        for source, dest, count in self.transitions:
-            if count <= 0:
-                raise AssertionError("transition counts must be positive")
-            if not dest.dominates(source):
-                raise AssertionError(f"transition {source} -> {dest} decreases")
-            if dest.max_component > self.max_value:
-                raise AssertionError(f"output {dest} exceeds {self.max_value}")
-            outgoing[source] = outgoing.get(source, 0) + count
-            inflow[dest] = inflow.get(dest, 0) + count
-            spent_in += count * (dest.indeg - source.indeg)
-            spent_out += count * (dest.outdeg - source.outdeg)
-        if outgoing != dict(counts):
-            raise AssertionError("transitions do not cover every input block")
-        if spent_in != s or spent_out != s:
-            raise AssertionError("transition costs do not match the budget")
-        if set(inflow) != set(self.used):
-            raise AssertionError("used set disagrees with transitions")
-        if any(count < k for count in inflow.values()):
-            raise AssertionError("a used output type receives fewer than k tuples")
-
-
 def demands_from_solution(
     sigma: DegreeSequence, target: DegreeSequence
 ) -> DemandVector:
@@ -171,21 +132,6 @@ def solve_nddcc(
     return NumberSolution(result, demands_from_solution(sigma, result))
 
 
-def satisfies_nddcc(
-    sigma: DegreeSequence, s: int, lists: DegreeListFunction, sol: NumberSolution
-) -> bool:
-    """Definition-level check of a claimed witness."""
-    if len(sol.target) != len(sigma):
-        return False
-    spent_in = spent_out = 0
-    for i, (src, dst) in enumerate(zip(sigma, sol.target)):
-        if not dst.dominates(src) or dst not in lists[i]:
-            return False
-        spent_in += dst.indeg - src.indeg
-        spent_out += dst.outdeg - src.outdeg
-    return spent_in == s == spent_out
-
-
 def solve_nddsc(sigma: DegreeSequence, phi: DegreeSequence) -> Bijection | None:
     """Match each entry of sigma to a dominating entry of phi, bijectively.
 
@@ -219,14 +165,6 @@ def solve_nddsc(sigma: DegreeSequence, phi: DegreeSequence) -> Bijection | None:
     for j, i in enumerate(match_right):
         mapping[i] = j
     return Bijection(tuple(mapping))
-
-
-def satisfies_nddsc(
-    sigma: DegreeSequence, phi: DegreeSequence, pi: Bijection
-) -> bool:
-    return len(pi) == len(sigma) == len(phi) and all(
-        phi[pi[i]].dominates(sigma[i]) for i in range(len(sigma))
-    )
 
 
 def _plausible_targets(
@@ -270,9 +208,9 @@ def solve_nda(
     processed in ascending type order and each block's tuples are distributed
     over candidate output types.  Branches die on budget overruns, on opened
     output types that no remaining block can still afford to fill up to k,
-    on suffix capacity that cannot absorb the remaining budget, and on
-    mandatory move costs (blocks that can never legally stay put) exceeding
-    the remaining budget.
+    on suffix capacity (counted from the current item inside a block) that
+    cannot absorb the remaining budget, and on mandatory move costs (blocks
+    that can never legally stay put) exceeding the remaining budget.
     """
     if k < 1:
         raise ValueError("anonymity level must be positive")
@@ -343,6 +281,13 @@ def solve_nda(
     ) -> bool:
         # Zero-count assignments advance iteratively, so the recursion depth
         # is bounded by the number of nonzero assignments, not the grid size.
+        # The block's unplaced items spend at most their cap each, so a
+        # budget beyond that plus the later blocks' capacity cannot be met.
+        if (
+            rem_in > items_left * in_cap[type_index] + suffix_in[type_index + 1]
+            or rem_out > items_left * out_cap[type_index] + suffix_out[type_index + 1]
+        ):
+            return False
         source = types[type_index]
         while True:
             if items_left == 0:
@@ -413,39 +358,6 @@ def solve_nda(
         pointers[entry] += 1
     result = DegreeSequence(target)
     return NumberSolution(result, demands_from_solution(sigma, result))
-
-
-def plan_from_solution(
-    sigma: DegreeSequence, sol: NumberSolution, max_value: int
-) -> BlockTransitionPlan:
-    """Summarize an index-aligned witness as block transition counts."""
-    moves: dict[tuple[DegreePair, DegreePair], int] = {}
-    for src, dst in zip(sigma, sol.target):
-        moves[(src, dst)] = moves.get((src, dst), 0) + 1
-    return BlockTransitionPlan(
-        max_value=max_value,
-        transitions=tuple(
-            (src, dst, count) for (src, dst), count in sorted(moves.items())
-        ),
-        used=frozenset(dst for (_, dst) in moves),
-    )
-
-
-def satisfies_nda(
-    sigma: DegreeSequence, s: int, k: int, sol: NumberSolution, max_value: int | None = None
-) -> bool:
-    """Definition-level check of a claimed witness."""
-    if len(sol.target) != len(sigma):
-        return False
-    spent_in = spent_out = 0
-    for src, dst in zip(sigma, sol.target):
-        if not dst.dominates(src):
-            return False
-        if max_value is not None and dst.max_component > max_value:
-            return False
-        spent_in += dst.indeg - src.indeg
-        spent_out += dst.outdeg - src.outdeg
-    return spent_in == s == spent_out and sol.target.is_k_anonymous(k)
 
 
 def reduce_partition_to_nda(values) -> tuple[DegreeSequence, int, int]:

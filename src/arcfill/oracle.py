@@ -1,8 +1,10 @@
-"""Brute-force reference solvers for cross-checking the exact pipeline.
+"""Brute-force reference solvers and definition-level checks.
 
-Everything here enumerates exhaustively and rechecks problem definitions
-directly, so it is only usable at desk scale; hard size guards protect
-against runaway enumeration.
+Both cross-check the exact pipeline.  The solvers enumerate exhaustively
+and recheck problem definitions directly, so they are only usable at desk
+scale; hard size guards protect against runaway enumeration.  The
+``satisfies_*`` and ``apply_demands`` checks test a claimed witness against
+its definition and call no solver.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from collections import Counter
 from itertools import permutations
 from math import comb
 
-from .core import DegreeListFunction, DegreePair, DegreeSequence
+from .core import DegreeListFunction, DegreePair, DegreeSequence, Digraph
 from .flow import DemandVector
 from .numprob import Bijection, NumberSolution, demands_from_solution
 from .problems import (
@@ -213,3 +215,63 @@ def brute_force_nda(
                 result = DegreeSequence(target)
                 return NumberSolution(result, demands_from_solution(sigma, result))
     return None
+
+
+def satisfies_nddcc(
+    sigma: DegreeSequence, s: int, lists: DegreeListFunction, sol: NumberSolution
+) -> bool:
+    """Definition-level check of a claimed degree-list number witness."""
+    if len(sol.target) != len(sigma):
+        return False
+    spent_in = spent_out = 0
+    for i, (src, dst) in enumerate(zip(sigma, sol.target)):
+        if not dst.dominates(src) or dst not in lists[i]:
+            return False
+        spent_in += dst.indeg - src.indeg
+        spent_out += dst.outdeg - src.outdeg
+    return spent_in == s == spent_out
+
+
+def satisfies_nddsc(
+    sigma: DegreeSequence, phi: DegreeSequence, pi: Bijection
+) -> bool:
+    """Definition-level check of a claimed dominance bijection."""
+    return len(pi) == len(sigma) == len(phi) and all(
+        phi[pi[i]].dominates(sigma[i]) for i in range(len(sigma))
+    )
+
+
+def satisfies_nda(
+    sigma: DegreeSequence,
+    s: int,
+    k: int,
+    sol: NumberSolution,
+    max_value: int | None = None,
+) -> bool:
+    """Definition-level check of a claimed anonymity number witness."""
+    if len(sol.target) != len(sigma):
+        return False
+    spent_in = spent_out = 0
+    for src, dst in zip(sigma, sol.target):
+        if not dst.dominates(src):
+            return False
+        if max_value is not None and dst.max_component > max_value:
+            return False
+        spent_in += dst.indeg - src.indeg
+        spent_out += dst.outdeg - src.outdeg
+    return spent_in == s == spent_out and sol.target.is_k_anonymous(k)
+
+
+def apply_demands(d: Digraph, demands: DemandVector, arcs) -> bool:
+    """Check that inserting the arcs changes each vertex degree by its demand."""
+    arcs = set(arcs)
+    gained_in = [0] * d.n
+    gained_out = [0] * d.n
+    for (u, v) in arcs:
+        gained_out[u] += 1
+        gained_in[v] += 1
+    return (
+        all((u, v) not in d.arcs and u != v for (u, v) in arcs)
+        and gained_in == list(demands.in_demand)
+        and gained_out == list(demands.out_demand)
+    )

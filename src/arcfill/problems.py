@@ -29,7 +29,13 @@ def _roof(d: Digraph) -> int:
 
 
 class _Problem:
-    """Defaults shared by the instance types."""
+    """Defaults shared by the instance types.
+
+    Each type's ``degree_cap()`` bounds the max in-/outdegree of any solution
+    digraph.  It is always clamped to n - 1, since no simple digraph on n
+    vertices can exceed it; this keeps demand realization applicable whenever
+    the cap is beaten by the budget.
+    """
 
     exact_size = False  # True when the budget fixes the size, not bounds it
     lists = None  # per-vertex allowed degree pairs, when the problem has them
@@ -186,13 +192,3 @@ def dda_delta_star_cap(d: Digraph, k: int, s: int) -> int:
     """
     delta = d.max_degree
     return min(delta + s, 4 * k * (delta + 2) * (delta + 2) + delta)
-
-
-def delta_star_cap(instance: ProblemInstance) -> int:
-    """Variant-specific cap on the max in-/outdegree of any solution digraph.
-
-    Always clamped to n - 1 since no simple digraph on n vertices can exceed
-    it; this keeps demand realization applicable whenever the cap is beaten
-    by the budget.
-    """
-    return instance.degree_cap()

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import DegreePair, degree_sequence
+from .core import DegreePair, DegreeSequence, degree_sequence
 from .flow import DemandVector, realize_demands
 from .kernel import (
-    AlphaSetSpec,
-    AlphaSetVariant,
     KernelResult,
     KernelVerdict,
     compute_alpha_set,
@@ -23,9 +21,10 @@ from .kernel import (
     kernelize_ddconc,
     kernelize_ddseqc,
     lift_solution,
+    quota,
 )
-from .numprob import solve_nda, solve_nddcc, solve_nddsc
-from .problems import ProblemInstance, dda_delta_star_cap, delta_star_cap
+from .numprob import demands_from_solution, solve_nda, solve_nddcc, solve_nddsc
+from .problems import ProblemInstance
 
 Arc = tuple[int, int]
 
@@ -36,7 +35,6 @@ __all__ = [
     "verify_solution",
     "build_certificate",
     "kernelize",
-    "dda_delta_star_cap",
 ]
 
 
@@ -111,12 +109,9 @@ def solve_bounded(
     if budget is None:
         return None
     lists = instance.lists
-    spec = AlphaSetSpec(
-        max(1, 2 * budget * (d.max_degree + 1)),
-        AlphaSetVariant.BLOCK_SET if lists is None else AlphaSetVariant.TYPE_SET,
-        delta_star_cap(instance),
+    chosen = compute_alpha_set(
+        d, lists, quota(budget, d.max_degree), instance.degree_cap()
     )
-    chosen = compute_alpha_set(d, lists, spec)
     if restrict_to is not None:
         chosen &= restrict_to
     pairs = sorted(
@@ -177,11 +172,8 @@ def _matched_demands(work, sequence, budget, cap) -> DemandVector | None:
     matching = solve_nddsc(sequence, work.target)
     if matching is None:
         return None
-    target = [work.target[j] for j in matching.mapping]
-    return DemandVector(
-        tuple(t.indeg - e.indeg for t, e in zip(target, sequence)),
-        tuple(t.outdeg - e.outdeg for t, e in zip(target, sequence)),
-    )
+    target = DegreeSequence(work.target[j] for j in matching.mapping)
+    return demands_from_solution(sequence, target)
 
 
 # Per problem: the number step (instance, degree sequence, budget, cap) ->
@@ -207,7 +199,7 @@ _STEPS = {
 
 def kernelize(instance: ProblemInstance) -> KernelResult:
     """The pipeline's kernel step, applied to an instance at its own budget."""
-    return _STEPS[instance.kind][1](instance, delta_star_cap(instance))
+    return _STEPS[instance.kind][1](instance, instance.degree_cap())
 
 
 def solve(instance: ProblemInstance) -> Solution | None:
@@ -225,7 +217,7 @@ def solve(instance: ProblemInstance) -> Solution | None:
     number_step, kernel_step = _STEPS[instance.kind]
     s = work.size_budget()
     while True:
-        cap = delta_star_cap(work)
+        cap = work.degree_cap()
         threshold = 2 * cap * cap
         if s <= threshold:
             break

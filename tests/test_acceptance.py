@@ -37,9 +37,8 @@ from arcfill import (
     solve_nddsc,
     verify_solution,
 )
-from arcfill.flow import apply_demands
 from arcfill.kernel import KernelVerdict
-from arcfill.problems import delta_star_cap
+from arcfill.oracle import apply_demands
 from arcfill.search import Solution
 from arcfill.cli import emit_instance, emit_solution, run
 from conftest import (
@@ -245,7 +244,7 @@ def test_criterion_07_kernel_equivalence_and_bounds():
     reduced = Counter()
     for _ in range(100):
         inst = _kernel_cases_list(rng)
-        cap = delta_star_cap(inst)
+        cap = inst.degree_cap()
         totals["ddconc"] += 1
         result = kernelize_ddconc(inst.digraph, inst.budget, inst.allowed, cap)
         original = brute_force_graph(inst, max_vertices=12, max_budget=2)
@@ -388,7 +387,7 @@ def test_criterion_09_lift_back_and_cli_verification(tmp_path):
         # Replay the kernelized path explicitly and lift its answer back.
         if inst.kind == "ddconc":
             result = kernelize_ddconc(
-                inst.digraph, inst.budget, inst.allowed, delta_star_cap(inst)
+                inst.digraph, inst.budget, inst.allowed, inst.degree_cap()
             )
         elif inst.kind == "ddseqc":
             result = kernelize_ddseqc(inst.digraph, inst.target)

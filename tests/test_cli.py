@@ -17,6 +17,7 @@ from arcfill.cli import (
     emit_number_instance,
     parse_instance,
     parse_number_instance,
+    parse_solution,
     run,
 )
 from conftest import (
@@ -126,6 +127,46 @@ def test_verify_rejects_tampered_solution(tmp_path):
         ["verify", "--input", str(instance_path), "--solution", str(solution_path)]
     )
     assert code == 1 and "FAIL" in out
+
+
+def test_verify_rejects_non_integer_endpoints(tmp_path):
+    instance_path = tmp_path / "instance.json"
+    solution_path = tmp_path / "solution.json"
+    instance_path.write_text(emit_instance(sequence_example()))
+    _run(["solve", "--input", str(instance_path), "--output", str(solution_path)])
+    payload = json.loads(solution_path.read_text())
+    assert payload["arcs"] == [[3, 0]]
+    for endpoint in (None, [0], "0", 0.0):
+        payload["arcs"] = [[3, endpoint]]
+        text = json.dumps(payload)
+        with pytest.raises(ParseError):
+            parse_solution(text)
+        solution_path.write_text(text)
+        code, out, err = _run(
+            ["verify", "--input", str(instance_path), "--solution", str(solution_path)]
+        )
+        assert code == 2 and "error:" in err, endpoint
+
+
+def test_non_list_degree_list_entry_exits_2(tmp_path):
+    listy = json.loads(emit_instance(list_example_yes()))
+    listy["degree_lists"][0] = 7
+    number = json.loads(
+        emit_number_instance(
+            NumberInstance(
+                "nddcc",
+                DegreeSequence([(0, 0)]),
+                budget=1,
+                lists=DegreeListFunction([[(1, 1)]]),
+            )
+        )
+    )
+    number["degree_lists"][0] = 7
+    for command, payload in (("solve", listy), ("numprob", number)):
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = _run([command, "--input", str(path)])
+        assert code == 2 and "degree_lists[0] must be a list" in err, command
 
 
 def test_kernelize_emits_maps(tmp_path):

@@ -115,7 +115,7 @@ def test_degree_pair_arithmetic():
 
 def test_degree_list_function_size_and_bound():
     lists = DegreeListFunction([[(0, 1), (1, 1)], [(2, 0)]])
-    assert lists.total_pairs == 3
+    assert sum(len(entry) for entry in lists.lists) == 3
     assert lists.bound == 2
     with pytest.raises(ValueError):
         DegreeListFunction([[(3, 0)]], bound=2)

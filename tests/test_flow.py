@@ -14,7 +14,7 @@ from arcfill import (
     realize_demands,
     try_realize_demands,
 )
-from arcfill.flow import apply_demands
+from arcfill.oracle import apply_demands
 from conftest import bounded_digraph, realization_case, sequence_example
 
 
@@ -48,12 +48,12 @@ def test_build_network_complete_digraph_has_no_unit_arcs():
 
 
 def test_build_network_counts_oriented_non_arcs():
-    net = build_network(Digraph(3), DemandVector.zeros(3))
+    net = build_network(Digraph(3), DemandVector((0,) * 3, (0,) * 3))
     assert len(net.unit_arcs) == 6
 
 
 def test_node_numbering_is_contiguous():
-    net = build_network(Digraph(3), DemandVector.zeros(3))
+    net = build_network(Digraph(3), DemandVector((0,) * 3, (0,) * 3))
     assert net.source == 0
     assert [net.out_copy(i) for i in range(3)] == [1, 2, 3]
     assert [net.in_copy(i) for i in range(3)] == [4, 5, 6]
@@ -61,7 +61,7 @@ def test_node_numbering_is_contiguous():
 
 
 def test_max_flow_zero_supply():
-    value, saturated = max_flow(build_network(Digraph(3), DemandVector.zeros(3)))
+    value, saturated = max_flow(build_network(Digraph(3), DemandVector((0,) * 3, (0,) * 3)))
     assert value == 0
     assert saturated == frozenset()
 
@@ -92,7 +92,7 @@ def test_realize_demands_small_cycle():
 
 def test_realize_demands_rejects_zero_budget():
     with pytest.raises(PreconditionViolatedError) as excinfo:
-        realize_demands(Digraph(4), DemandVector.zeros(4), 1)
+        realize_demands(Digraph(4), DemandVector((0,) * 4, (0,) * 4), 1)
     assert excinfo.value.condition == "V"
 
 
@@ -121,7 +121,7 @@ def test_realize_demands_identifies_first_failed_condition():
 
 
 def test_try_realize_zero_demands():
-    assert try_realize_demands(Digraph(3), DemandVector.zeros(3)) == set()
+    assert try_realize_demands(Digraph(3), DemandVector((0,) * 3, (0,) * 3)) == set()
 
 
 def test_try_realize_complete_digraph_fails():

@@ -5,8 +5,8 @@ solution file and the kernel file they write.  The cases cover every
 problem on every route of the pipeline: rejection before the kernel,
 trivial kernel verdicts, kernel `unchanged` plus search, kernel `reduced`
 plus search plus lift, and the number problem plus flow realization.  The
-anonymity number route needs budgets above 512 and is not covered (its
-number solver does not finish there in a test's time).
+anonymity number route needs a budget above 512 even on an empty digraph,
+so its case has 33 vertices and budget 513.
 """
 
 from __future__ import annotations
@@ -79,6 +79,7 @@ def _cases():
         "dda-unchanged-search-no": seeded(random_anonymity_instance, 0),
         "dda-unchanged-search-yes": seeded(random_anonymity_instance, 3),
         "dda-reduced-search": AnonymityCompletion(Digraph(40, [(0, 1)]), 2, 1),
+        "dda-number-flow": AnonymityCompletion(Digraph(33), 1, 513),
         "dda-fixture": anonymity_example(),
     }
 
@@ -107,6 +108,7 @@ GOLDEN = {
     "dda-unchanged-search-no": (1, 0, "3268946eda86f972"),
     "dda-unchanged-search-yes": (0, 0, "16fd8c0be659318f"),
     "dda-reduced-search": (0, 0, "3cfe0c6a9ca8c490"),
+    "dda-number-flow": (0, 0, "f7f125df74b969b6"),
     "dda-fixture": (0, 0, "54e11b686542db65"),
 }
 

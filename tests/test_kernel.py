@@ -3,8 +3,6 @@ import random
 import pytest
 
 from arcfill import (
-    AlphaSetSpec,
-    AlphaSetVariant,
     AnonymityCompletion,
     DegreeListFunction,
     DegreeSequence,
@@ -17,7 +15,6 @@ from arcfill import (
     brute_force_graph,
     compute_alpha_set,
     degree_sequence,
-    delta_star_cap,
     kernelize_dda,
     kernelize_ddconc,
     kernelize_ddseqc,
@@ -39,15 +36,13 @@ from conftest import (
 def test_alpha_set_satisfied_vertex_without_types_is_dropped():
     d = Digraph(1)
     lists = DegreeListFunction([[(0, 0)]])
-    spec = AlphaSetSpec(1, AlphaSetVariant.TYPE_SET, cap=1)
-    assert compute_alpha_set(d, lists, spec) == set()
+    assert compute_alpha_set(d, lists, 1, cap=1) == set()
 
 
 def test_alpha_set_takes_lowest_indices_up_to_quota():
     d = Digraph(3)
     lists = DegreeListFunction.uniform(3, [(0, 0), (1, 0)])
-    spec = AlphaSetSpec(2, AlphaSetVariant.TYPE_SET, cap=1)
-    assert compute_alpha_set(d, lists, spec) == {0, 1}
+    assert compute_alpha_set(d, lists, 2, cap=1) == {0, 1}
 
 
 def test_alpha_set_always_contains_unsatisfied():
@@ -55,10 +50,8 @@ def test_alpha_set_always_contains_unsatisfied():
     for _ in range(40):
         inst = random_list_instance(rng)
         d, lists = inst.digraph, inst.allowed
-        for variant in AlphaSetVariant:
-            tau = None if variant is AlphaSetVariant.BLOCK_SET else lists
-            spec = AlphaSetSpec(2, variant, cap=3)
-            chosen = compute_alpha_set(d, tau, spec)
+        for tau in (None, lists):
+            chosen = compute_alpha_set(d, tau, 2, cap=3)
             if tau is not None:
                 for v in range(d.n):
                     if d.degree(v) not in lists[v]:
@@ -67,8 +60,7 @@ def test_alpha_set_always_contains_unsatisfied():
 
 def test_alpha_set_block_quota_is_exact():
     d = Digraph(6)
-    spec = AlphaSetSpec(2, AlphaSetVariant.BLOCK_SET)
-    assert compute_alpha_set(d, None, spec) == {0, 1}
+    assert compute_alpha_set(d, None, 2) == {0, 1}
 
 
 def test_reduce_trivial_no():
@@ -101,7 +93,7 @@ def test_kernelize_ddconc_zero_budget_paths():
 def test_kernelize_ddconc_unchanged_when_everything_kept():
     inst = list_example_no()
     result = kernelize_ddconc(
-        inst.digraph, inst.budget, inst.allowed, delta_star_cap(inst)
+        inst.digraph, inst.budget, inst.allowed, inst.degree_cap()
     )
     # The satisfied left vertex has no nonzero type, so it is dropped.
     assert result.verdict is KernelVerdict.REDUCED
@@ -110,7 +102,7 @@ def test_kernelize_ddconc_unchanged_when_everything_kept():
         Digraph(2), 1, DegreeListFunction.uniform(2, [(0, 0), (0, 1), (1, 0)])
     )
     unchanged = kernelize_ddconc(
-        tiny.digraph, tiny.budget, tiny.allowed, delta_star_cap(tiny)
+        tiny.digraph, tiny.budget, tiny.allowed, tiny.degree_cap()
     )
     assert unchanged.verdict is KernelVerdict.UNCHANGED
     assert unchanged.instance == tiny
@@ -119,7 +111,7 @@ def test_kernelize_ddconc_unchanged_when_everything_kept():
 def test_kernelize_ddconc_no_instance_stays_no():
     inst = list_example_no()
     result = kernelize_ddconc(
-        inst.digraph, inst.budget, inst.allowed, delta_star_cap(inst)
+        inst.digraph, inst.budget, inst.allowed, inst.degree_cap()
     )
     assert brute_force_graph(result.instance) is None
 
@@ -147,7 +139,7 @@ def test_kernelize_ddconc_equivalence_and_bound():
             inst = random_list_instance(rng)
         else:
             inst = _engineered_list_instances(rng)
-        cap = delta_star_cap(inst)
+        cap = inst.degree_cap()
         result = kernelize_ddconc(inst.digraph, inst.budget, inst.allowed, cap)
         original = brute_force_graph(inst, max_vertices=12, max_budget=4)
         if result.verdict is KernelVerdict.TRIVIAL_NO:

@@ -12,7 +12,7 @@ from arcfill import (
     brute_force_nddsc,
     verify_solution,
 )
-from arcfill.numprob import satisfies_nda, satisfies_nddcc, satisfies_nddsc
+from arcfill.oracle import satisfies_nda, satisfies_nddcc, satisfies_nddsc
 from conftest import anonymity_example, list_example_no, sequence_example
 
 
