@@ -1,12 +1,16 @@
-"""Golden bytes of `arcfill solve` and `arcfill kernelize` output.
+"""Golden bytes of `arcfill solve`, `kernelize`, `numprob` and `gen` output.
 
-Each case pins the exit codes of both subcommands and a digest of the
-solution file and the kernel file they write.  The cases cover every
+Each graph case pins the exit codes of `solve` and `kernelize` and a digest
+of the solution file and the kernel file they write.  The cases cover every
 problem on every route of the pipeline: rejection before the kernel,
 trivial kernel verdicts, kernel `unchanged` plus search, kernel `reduced`
 plus search plus lift, and the number problem plus flow realization.  The
 anonymity number route needs a budget above 512 even on an empty digraph,
 so its case has 33 vertices and budget 513.
+
+Each number case pins the exit code of `numprob --oracle` and a digest of
+its stdout and solution file; each `gen` case pins the exit code and a
+digest of its stdout and output file.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from arcfill import (
     ListCompletion,
     SequenceCompletion,
 )
-from arcfill.cli import emit_instance, run
+from arcfill.cli import NumberInstance, emit_instance, emit_number_instance, run
 from conftest import (
     anonymity_example,
     list_example_no,
@@ -138,3 +142,113 @@ def test_golden_bytes(tmp_path, name):
 
 def test_every_case_is_pinned():
     assert sorted(GOLDEN) == sorted(_cases())
+
+
+NUMBER_CASES = {
+    "nddcc-yes": NumberInstance(
+        "nddcc",
+        DegreeSequence([(0, 0), (1, 0), (0, 1), (1, 1)]),
+        budget=2,
+        lists=DegreeListFunction(
+            [[(0, 0), (1, 1)], [(1, 0), (1, 1)], [(1, 1), (0, 2)], [(1, 1)]]
+        ),
+    ),
+    "nddcc-no": NumberInstance(
+        "nddcc",
+        DegreeSequence([(0, 0), (1, 0), (0, 1), (1, 1)]),
+        budget=2,
+        lists=DegreeListFunction(
+            [[(0, 0), (1, 1)], [(1, 0), (2, 1)], [(1, 1), (0, 2)], [(1, 1)]]
+        ),
+    ),
+    "nddsc-yes": NumberInstance(
+        "nddsc",
+        DegreeSequence([(0, 1), (1, 0), (0, 0), (2, 1)]),
+        target=DegreeSequence([(1, 1), (2, 1), (0, 1), (1, 0)]),
+    ),
+    "nddsc-no": NumberInstance(
+        "nddsc",
+        DegreeSequence([(2, 2), (2, 0)]),
+        target=DegreeSequence([(1, 1), (3, 3)]),
+    ),
+    "nda-yes": NumberInstance(
+        "nda",
+        DegreeSequence([(0, 0), (1, 0), (0, 1), (1, 1), (2, 2)]),
+        budget=3,
+        anonymity=2,
+        max_value=3,
+    ),
+    # Without max_value the largest sequence component, 0, caps every raise.
+    "nda-default-max-value": NumberInstance(
+        "nda", DegreeSequence([(0, 0), (0, 0)]), budget=2, anonymity=2
+    ),
+    "nda-max-value": NumberInstance(
+        "nda", DegreeSequence([(0, 0), (0, 0)]), budget=2, anonymity=2, max_value=1
+    ),
+    "nda-no": NumberInstance(
+        "nda", DegreeSequence([(0, 0), (2, 2)]), budget=1, anonymity=2
+    ),
+}
+
+# case -> (numprob exit code, digest of stdout and the solution file)
+NUMBER_GOLDEN = {
+    "nda-default-max-value": (1, "c421db4ba22489bd"),
+    "nda-max-value": (0, "7d344452fb533df2"),
+    "nda-no": (1, "c421db4ba22489bd"),
+    "nda-yes": (0, "5b73faa8be1e1c6b"),
+    "nddcc-no": (1, "1b9319cafb7d6a10"),
+    "nddcc-yes": (0, "1bb2343aa91ba4d2"),
+    "nddsc-no": (1, "667edc7d91d99455"),
+    "nddsc-yes": (0, "5e4d603ccccaee0d"),
+}
+
+GEN_CASES = {
+    "gen-ddconc": ["--problem", "ddconc", "--vertices", "7", "--seed", "11"],
+    "gen-ddseqc": ["--problem", "ddseqc", "--vertices", "7", "--seed", "12",
+                   "--budget", "3"],
+    "gen-dda": ["--problem", "dda", "--vertices", "5", "--seed", "13",
+                "--anonymity", "3", "--density", "0.5"],
+    "gen-partition": ["--partition", "3,1,2,2"],
+}
+
+# case -> (gen exit code, digest of stdout and the output file)
+GEN_GOLDEN = {
+    "gen-dda": (0, "1c3f226497758ebc"),
+    "gen-ddconc": (0, "f949c4431d459983"),
+    "gen-ddseqc": (0, "89aaba56648875fd"),
+    "gen-partition": (0, "c8bf75e4df200609"),
+}
+
+
+def _digest(*parts: bytes) -> str:
+    return hashlib.sha256(b"\0".join(parts)).hexdigest()[:16]
+
+
+def _run_to_file(tmp_path, argv):
+    output = tmp_path / "output.json"
+    out, err = io.StringIO(), io.StringIO()
+    code = run(argv + ["--output", str(output)], out, err)
+    written = output.read_bytes() if output.exists() else b""
+    return code, _digest(out.getvalue().encode(), written)
+
+
+@pytest.mark.parametrize("name", sorted(NUMBER_GOLDEN))
+def test_numprob_golden_bytes(tmp_path, name):
+    source = tmp_path / "number.json"
+    source.write_text(emit_number_instance(NUMBER_CASES[name]))
+    argv = ["numprob", "--input", str(source), "--oracle"]
+    assert _run_to_file(tmp_path, argv) == NUMBER_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GEN_GOLDEN))
+def test_gen_golden_bytes(tmp_path, name):
+    assert _run_to_file(tmp_path, ["gen"] + GEN_CASES[name]) == GEN_GOLDEN[name]
+    # Without --output the same bytes go to stdout.
+    out = io.StringIO()
+    assert run(["gen"] + GEN_CASES[name], out, io.StringIO()) == 0
+    assert out.getvalue().encode() == (tmp_path / "output.json").read_bytes()
+
+
+def test_every_number_and_gen_case_is_pinned():
+    assert sorted(NUMBER_GOLDEN) == sorted(NUMBER_CASES)
+    assert sorted(GEN_GOLDEN) == sorted(GEN_CASES)
