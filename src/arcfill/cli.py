@@ -19,12 +19,7 @@ from dataclasses import dataclass
 from .core import DegreeListFunction, DegreeSequence, Digraph
 from .flow import DemandVector, build_network
 from .kernel import KernelResult, KernelVerdict
-from .numprob import (
-    reduce_partition_to_nda,
-    solve_nda,
-    solve_nddcc,
-    solve_nddsc,
-)
+from .numprob import reduce_partition_to_nda, solve_nda, solve_nddcc, solve_nddsc
 from .oracle import (
     InstanceTooLargeError,
     brute_force_graph,
@@ -48,7 +43,6 @@ KERNEL_FORMAT = "arcfill-kernel"
 FORMAT_VERSION = 1
 
 GRAPH_PROBLEMS = ("ddconc", "ddseqc", "dda")
-NUMBER_PROBLEMS = ("nddcc", "nddsc", "nda")
 
 
 class ParseError(ValueError):
@@ -76,54 +70,92 @@ class NumberInstance:
     anonymity: int | None = None
     max_value: int | None = None
 
+    @property
+    def value_cap(self) -> int:
+        """``max_value``, defaulting to the largest sequence component."""
+        if self.max_value is None:
+            return self.sequence.max_component
+        return self.max_value
+
+
+# problem -> (solver, brute-force oracle, the NumberInstance fields both take
+# after the sequence, in order)
+_NUMBER_PROBLEMS = {
+    "nddcc": (solve_nddcc, brute_force_nddcc, ("budget", "lists")),
+    "nddsc": (solve_nddsc, brute_force_nddsc, ("target",)),
+    "nda": (solve_nda, brute_force_nda, ("budget", "anonymity", "value_cap")),
+}
+
 
 def _dump(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _load(text: str) -> dict:
+def _header(fmt: str, problem: str | None = None) -> dict:
+    data = {"format": fmt, "version": FORMAT_VERSION}
+    if problem is not None:
+        data["problem"] = problem
+    return data
+
+
+def _pairs(pairs) -> list[list[int]]:
+    return [list(p) for p in pairs]
+
+
+def _is_int(value) -> bool:
+    # JSON true and false load as bool, a subclass of int.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _expect(data: dict, key: str, kind, context: str):
+    if key not in data:
+        raise ParseError(f"{context}: missing field {key!r}")
+    value = data[key]
+    if not (_is_int(value) if kind is int else isinstance(value, kind)):
+        raise ParseError(f"{context}: field {key!r} has the wrong type")
+    return value
+
+
+def _load(text: str, fmt: str, problems, noun: str) -> tuple[dict, str]:
+    """Decode a file, check its header and return it with its problem."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno) from exc
     if not isinstance(data, dict):
         raise ParseError("top-level value must be an object")
-    return data
-
-
-def _expect(data: dict, key: str, kinds, context: str):
-    if key not in data:
-        raise ParseError(f"{context}: missing field {key!r}")
-    value = data[key]
-    if not isinstance(value, kinds):
-        raise ParseError(f"{context}: field {key!r} has the wrong type")
-    return value
-
-
-def _check_header(data: dict, expected_format: str) -> None:
-    fmt = _expect(data, "format", str, "header")
-    if fmt != expected_format:
-        raise ParseError(f"header: expected format {expected_format!r}, got {fmt!r}")
+    found = _expect(data, "format", str, "header")
+    if found != fmt:
+        raise ParseError(f"header: expected format {fmt!r}, got {found!r}")
     version = _expect(data, "version", int, "header")
     if version != FORMAT_VERSION:
         raise ParseError(f"header: unsupported version {version}")
+    problem = _expect(data, "problem", str, "header")
+    if problem not in problems:
+        raise ParseError(f"unknown {noun} {problem!r}")
+    return data, problem
 
 
-def _parse_arc_list(raw, n: int, context: str) -> list[tuple[int, int]]:
+def _int_pair(item, context: str, arc: bool) -> tuple[int, int]:
+    unit, parts = ("arc", "arc endpoints") if arc else ("entry", "pair components")
+    if not (isinstance(item, list) and len(item) == 2):
+        raise ParseError(f"{context}: each {unit} must be a pair")
+    if not (_is_int(item[0]) and _is_int(item[1])):
+        raise ParseError(f"{context}: {parts} must be integers")
+    return item[0], item[1]
+
+
+def _parse_arc_list(raw, n: int) -> list[tuple[int, int]]:
     arcs = []
     seen = set()
     for item in raw:
-        if not (isinstance(item, list) and len(item) == 2):
-            raise ParseError(f"{context}: each arc must be a pair")
-        u, v = item
-        if not (isinstance(u, int) and isinstance(v, int)):
-            raise ParseError(f"{context}: arc endpoints must be integers")
+        u, v = _int_pair(item, "digraph", arc=True)
         if u == v:
-            raise SemanticError(f"{context}: loop arc ({u}, {v})")
+            raise SemanticError(f"digraph: loop arc ({u}, {v})")
         if not (0 <= u < n and 0 <= v < n):
-            raise SemanticError(f"{context}: arc ({u}, {v}) out of range")
+            raise SemanticError(f"digraph: arc ({u}, {v}) out of range")
         if (u, v) in seen:
-            raise SemanticError(f"{context}: duplicate arc ({u}, {v})")
+            raise SemanticError(f"digraph: duplicate arc ({u}, {v})")
         seen.add((u, v))
         arcs.append((u, v))
     return arcs
@@ -132,18 +164,40 @@ def _parse_arc_list(raw, n: int, context: str) -> list[tuple[int, int]]:
 def _parse_pair_list(raw, context: str) -> list[tuple[int, int]]:
     pairs = []
     for item in raw:
-        if not (isinstance(item, list) and len(item) == 2):
-            raise ParseError(f"{context}: each entry must be a pair")
-        a, b = item
-        if not (isinstance(a, int) and isinstance(b, int)):
-            raise ParseError(f"{context}: pair components must be integers")
+        a, b = _int_pair(item, context, arc=False)
         if a < 0 or b < 0:
             raise SemanticError(f"{context}: negative component in ({a}, {b})")
         pairs.append((a, b))
     return pairs
 
 
-def _parse_degree_lists(raw: list, bound: int) -> DegreeListFunction:
+# One reader per file field, shared by instance files (whose entries cover the
+# digraph's vertices) and number files (whose entries cover the sequence).
+
+
+def _check_length(key: str, items, n: int, owner: str) -> None:
+    if len(items) != n:
+        raise SemanticError(f"{key} has {len(items)} entries, {owner} has {n}")
+
+
+def _budget(data: dict, context: str) -> int:
+    budget = _expect(data, "budget", int, context)
+    if budget < 0:
+        raise SemanticError("budget must be nonnegative")
+    return budget
+
+
+def _anonymity(data: dict, context: str) -> int:
+    anonymity = _expect(data, "anonymity", int, context)
+    if anonymity < 1:
+        raise SemanticError("anonymity level must be positive")
+    return anonymity
+
+
+def _degree_lists(data: dict, context: str, n: int, owner: str) -> DegreeListFunction:
+    bound = _expect(data, "degree_bound", int, context)
+    raw = _expect(data, "degree_lists", list, context)
+    _check_length("degree_lists", raw, n, owner)
     lists = []
     for v, entry in enumerate(raw):
         if not isinstance(entry, list):
@@ -158,55 +212,35 @@ def _parse_degree_lists(raw: list, bound: int) -> DegreeListFunction:
     return DegreeListFunction(lists, bound=bound)
 
 
+def _target(data: dict, context: str, n: int, owner: str) -> DegreeSequence:
+    raw = _expect(data, "target_sequence", list, context)
+    target = _parse_pair_list(raw, "target_sequence")
+    _check_length("target_sequence", target, n, owner)
+    return DegreeSequence(target)
+
+
 def parse_instance(text: str) -> ProblemInstance:
     """Parse a graph-problem instance file."""
-    data = _load(text)
-    _check_header(data, INSTANCE_FORMAT)
-    problem = _expect(data, "problem", str, "header")
-    if problem not in GRAPH_PROBLEMS:
-        raise ParseError(f"unknown problem {problem!r}")
+    data, problem = _load(text, INSTANCE_FORMAT, GRAPH_PROBLEMS, "problem")
     n = _expect(data, "vertices", int, "digraph")
     if n < 0:
         raise SemanticError("vertex count must be nonnegative")
-    arcs = _parse_arc_list(_expect(data, "arcs", list, "digraph"), n, "digraph")
-    digraph = Digraph(n, arcs)
+    digraph = Digraph(n, _parse_arc_list(_expect(data, "arcs", list, "digraph"), n))
     if problem == "ddconc":
-        budget = _expect(data, "budget", int, "ddconc")
-        if budget < 0:
-            raise SemanticError("budget must be nonnegative")
-        bound = _expect(data, "degree_bound", int, "ddconc")
-        raw_lists = _expect(data, "degree_lists", list, "ddconc")
-        if len(raw_lists) != n:
-            raise SemanticError(
-                f"degree_lists covers {len(raw_lists)} vertices, digraph has {n}"
-            )
-        return ListCompletion(digraph, budget, _parse_degree_lists(raw_lists, bound))
+        return ListCompletion(
+            digraph, _budget(data, problem), _degree_lists(data, problem, n, "digraph")
+        )
     if problem == "ddseqc":
-        raw_target = _expect(data, "target_sequence", list, "ddseqc")
-        target = _parse_pair_list(raw_target, "target_sequence")
-        if len(target) != n:
-            raise SemanticError(
-                f"target_sequence has {len(target)} entries, digraph has {n}"
-            )
-        return SequenceCompletion(digraph, DegreeSequence(target))
-    anonymity = _expect(data, "anonymity", int, "dda")
-    if anonymity < 1:
-        raise SemanticError("anonymity level must be positive")
-    budget = _expect(data, "budget", int, "dda")
-    if budget < 0:
-        raise SemanticError("budget must be nonnegative")
-    return AnonymityCompletion(digraph, anonymity, budget)
+        return SequenceCompletion(digraph, _target(data, problem, n, "digraph"))
+    return AnonymityCompletion(
+        digraph, _anonymity(data, problem), _budget(data, problem)
+    )
 
 
 def _instance_payload(instance: ProblemInstance) -> dict:
-    d = instance.digraph
-    data = {
-        "format": INSTANCE_FORMAT,
-        "version": FORMAT_VERSION,
-        "problem": instance.kind,
-        "vertices": d.n,
-        "arcs": [list(arc) for arc in d.sorted_arcs()],
-    }
+    data = _header(INSTANCE_FORMAT, instance.kind)
+    data["vertices"] = instance.digraph.n
+    data["arcs"] = _pairs(instance.digraph.sorted_arcs())
     data.update(instance.wire_fields())
     return data
 
@@ -218,63 +252,41 @@ def emit_instance(instance: ProblemInstance) -> str:
 
 def parse_number_instance(text: str) -> NumberInstance:
     """Parse a number-problem (raw sequence) instance file."""
-    data = _load(text)
-    _check_header(data, SEQUENCE_FORMAT)
-    problem = _expect(data, "problem", str, "header")
-    if problem not in NUMBER_PROBLEMS:
-        raise ParseError(f"unknown number problem {problem!r}")
+    data, problem = _load(text, SEQUENCE_FORMAT, _NUMBER_PROBLEMS, "number problem")
     sequence = DegreeSequence(
         _parse_pair_list(_expect(data, "sequence", list, "sequence"), "sequence")
     )
+    n = len(sequence)
     if problem == "nddcc":
-        budget = _expect(data, "budget", int, "nddcc")
-        bound = _expect(data, "degree_bound", int, "nddcc")
-        raw_lists = _expect(data, "degree_lists", list, "nddcc")
-        if len(raw_lists) != len(sequence):
-            raise SemanticError("degree_lists must cover every sequence entry")
         return NumberInstance(
-            problem, sequence, budget=budget,
-            lists=_parse_degree_lists(raw_lists, bound),
+            problem, sequence, budget=_budget(data, problem),
+            lists=_degree_lists(data, problem, n, "sequence"),
         )
     if problem == "nddsc":
-        target = DegreeSequence(
-            _parse_pair_list(
-                _expect(data, "target_sequence", list, "nddsc"), "target_sequence"
-            )
+        return NumberInstance(
+            problem, sequence, target=_target(data, problem, n, "sequence")
         )
-        if len(target) != len(sequence):
-            raise SemanticError("target_sequence must match the sequence length")
-        return NumberInstance(problem, sequence, target=target)
-    budget = _expect(data, "budget", int, "nda")
-    anonymity = _expect(data, "anonymity", int, "nda")
-    if anonymity < 1:
-        raise SemanticError("anonymity level must be positive")
-    max_value = data.get("max_value")
-    if max_value is not None and not isinstance(max_value, int):
-        raise ParseError("nda: field 'max_value' has the wrong type")
-    if max_value is not None and max_value < sequence.max_component:
-        raise SemanticError("max_value below the largest sequence component")
+    budget = _budget(data, problem)
+    anonymity = _anonymity(data, problem)
+    max_value = None
+    if data.get("max_value") is not None:
+        max_value = _expect(data, "max_value", int, problem)
+        if max_value < sequence.max_component:
+            raise SemanticError("max_value below the largest sequence component")
     return NumberInstance(
         problem, sequence, budget=budget, anonymity=anonymity, max_value=max_value
     )
 
 
 def emit_number_instance(instance: NumberInstance) -> str:
-    data = {
-        "format": SEQUENCE_FORMAT,
-        "version": FORMAT_VERSION,
-        "problem": instance.problem,
-        "sequence": [list(p) for p in instance.sequence],
-    }
+    data = _header(SEQUENCE_FORMAT, instance.problem)
+    data["sequence"] = _pairs(instance.sequence)
     if instance.problem == "nddcc":
         data["budget"] = instance.budget
         data["degree_bound"] = instance.lists.bound
-        data["degree_lists"] = [
-            [list(p) for p in sorted(instance.lists[i])]
-            for i in range(len(instance.lists))
-        ]
+        data["degree_lists"] = [_pairs(sorted(entry)) for entry in instance.lists.lists]
     elif instance.problem == "nddsc":
-        data["target_sequence"] = [list(p) for p in instance.target]
+        data["target_sequence"] = _pairs(instance.target)
     else:
         data["budget"] = instance.budget
         data["anonymity"] = instance.anonymity
@@ -284,51 +296,45 @@ def emit_number_instance(instance: NumberInstance) -> str:
 
 
 def emit_solution(instance: ProblemInstance, solution: Solution | None) -> str:
-    data = {
-        "format": SOLUTION_FORMAT,
-        "version": FORMAT_VERSION,
-        "problem": instance.kind,
-        "decision": "yes" if solution is not None else "no",
-        "arcs": [list(arc) for arc in solution.arcs] if solution else [],
-        "certificate": dict(solution.certificate) if solution else {},
-    }
+    data = _header(SOLUTION_FORMAT, instance.kind)
+    data["decision"] = "yes" if solution is not None else "no"
+    data["arcs"] = _pairs(solution.arcs) if solution else []
+    data["certificate"] = dict(solution.certificate) if solution else {}
     return _dump(data)
 
 
 def parse_solution(text: str) -> tuple[str, str, list[tuple[int, int]]]:
     """Parse a solution file into (problem, decision, arcs)."""
-    data = _load(text)
-    _check_header(data, SOLUTION_FORMAT)
-    problem = _expect(data, "problem", str, "header")
-    if problem not in GRAPH_PROBLEMS:
-        raise ParseError(f"unknown problem {problem!r}")
+    data, problem = _load(text, SOLUTION_FORMAT, GRAPH_PROBLEMS, "problem")
     decision = _expect(data, "decision", str, "solution")
     if decision not in ("yes", "no"):
         raise ParseError(f"unknown decision {decision!r}")
     raw = _expect(data, "arcs", list, "solution")
-    arcs = []
-    for item in raw:
-        if not (isinstance(item, list) and len(item) == 2):
-            raise ParseError("solution: each arc must be a pair")
-        if not all(isinstance(x, int) for x in item):
-            raise ParseError("solution: arc endpoints must be integers")
-        arcs.append((item[0], item[1]))
-    return problem, decision, arcs
+    return problem, decision, [_int_pair(item, "solution", arc=True) for item in raw]
 
 
 def emit_kernel(instance: ProblemInstance, result: KernelResult) -> str:
-    data = {
-        "format": KERNEL_FORMAT,
-        "version": FORMAT_VERSION,
-        "problem": instance.kind,
-        "verdict": result.verdict.value,
-        "reason": result.reason.value if result.reason else None,
-        "instance": (
-            _instance_payload(result.instance) if result.instance else None
-        ),
-        "kept": [[kernel, orig] for kernel, orig in sorted(result.kept.items())],
-        "added": sorted(result.added),
-    }
+    data = _header(KERNEL_FORMAT, instance.kind)
+    data["verdict"] = result.verdict.value
+    data["reason"] = result.reason.value if result.reason else None
+    data["instance"] = (
+        _instance_payload(result.instance) if result.instance else None
+    )
+    data["kept"] = [[kernel, orig] for kernel, orig in sorted(result.kept.items())]
+    data["added"] = sorted(result.added)
+    return _dump(data)
+
+
+def emit_number_solution(instance: NumberInstance, result) -> str:
+    data = _header(SEQUENCE_SOLUTION_FORMAT, instance.problem)
+    data["decision"] = "yes" if result is not None else "no"
+    if result is not None:
+        if instance.problem == "nddsc":
+            data["assignment"] = list(result.mapping)
+        else:
+            data["target_sequence"] = _pairs(result.target)
+            data["demand_in"] = list(result.demands.in_demand)
+            data["demand_out"] = list(result.demands.out_demand)
     return _dump(data)
 
 
@@ -393,44 +399,63 @@ def _write(path: str, text: str) -> None:
         handle.write(text)
 
 
-def _report_solution(solution: Solution | None, out) -> None:
+def _write_or_print(path: str | None, text: str, out) -> None:
+    if path:
+        _write(path, text)
+    else:
+        out.write(text)
+
+
+def _cross_check(result, oracle, out, err) -> bool:
+    """Compare a verdict with brute force; False when the two disagree."""
+    try:
+        reference = oracle()
+    except InstanceTooLargeError as exc:
+        print(f"oracle skipped: {exc}", file=err)
+        return True
+    if (reference is None) != (result is None):
+        print(
+            "oracle mismatch: solver said "
+            f"{'yes' if result else 'no'}, brute force said "
+            f"{'yes' if reference else 'no'}",
+            file=err,
+        )
+        return False
+    print("oracle agreement: ok", file=out)
+    return True
+
+
+def _answer(args, instance, solution: Solution | None, out) -> int:
+    """Report a graph-problem answer, write its file, return the exit code."""
     if solution is None:
         print("decision: no", file=out)
-        return
-    print("decision: yes", file=out)
-    print(f"arcs ({len(solution.arcs)}):", file=out)
-    for (u, v) in solution.arcs:
-        print(f"  {u} -> {v}", file=out)
-    for name, passed in solution.certificate.items():
-        print(f"check {name}: {'pass' if passed else 'FAIL'}", file=out)
+    else:
+        print("decision: yes", file=out)
+        print(f"arcs ({len(solution.arcs)}):", file=out)
+        for (u, v) in solution.arcs:
+            print(f"  {u} -> {v}", file=out)
+        for name, passed in solution.certificate.items():
+            print(f"check {name}: {'pass' if passed else 'FAIL'}", file=out)
+    if args.output:
+        _write(args.output, emit_solution(instance, solution))
+    return 0 if solution is not None else 1
 
 
 def _cmd_solve(args, out, err) -> int:
     instance = parse_instance(_read(args.input))
     solution = solve(instance)
-    if args.oracle:
-        try:
-            reference = brute_force_graph(
-                instance,
-                max_vertices=args.oracle_max_vertices,
-                max_budget=args.oracle_max_budget,
-            )
-        except InstanceTooLargeError as exc:
-            print(f"oracle skipped: {exc}", file=err)
-        else:
-            if (reference is None) != (solution is None):
-                print(
-                    "oracle mismatch: solver said "
-                    f"{'yes' if solution else 'no'}, brute force said "
-                    f"{'yes' if reference else 'no'}",
-                    file=err,
-                )
-                return 2
-            print("oracle agreement: ok", file=out)
-    _report_solution(solution, out)
-    if args.output:
-        _write(args.output, emit_solution(instance, solution))
-    return 0 if solution is not None else 1
+    if args.oracle and not _cross_check(
+        solution,
+        lambda: brute_force_graph(
+            instance,
+            max_vertices=args.oracle_max_vertices,
+            max_budget=args.oracle_max_budget,
+        ),
+        out,
+        err,
+    ):
+        return 2
+    return _answer(args, instance, solution, out)
 
 
 def _cmd_oracle(args, out, err) -> int:
@@ -438,10 +463,7 @@ def _cmd_oracle(args, out, err) -> int:
     solution = brute_force_graph(
         instance, max_vertices=args.max_vertices, max_budget=args.max_budget
     )
-    _report_solution(solution, out)
-    if args.output:
-        _write(args.output, emit_solution(instance, solution))
-    return 0 if solution is not None else 1
+    return _answer(args, instance, solution, out)
 
 
 def _cmd_verify(args, out, err) -> int:
@@ -475,67 +497,15 @@ def _cmd_kernelize(args, out, err) -> int:
     return 1 if result.verdict is KernelVerdict.TRIVIAL_NO else 0
 
 
-def _solve_number(instance: NumberInstance):
-    if instance.problem == "nddcc":
-        return solve_nddcc(instance.sequence, instance.budget, instance.lists)
-    if instance.problem == "nddsc":
-        return solve_nddsc(instance.sequence, instance.target)
-    max_value = instance.max_value
-    if max_value is None:
-        max_value = instance.sequence.max_component
-    return solve_nda(
-        instance.sequence, instance.budget, instance.anonymity, max_value
-    )
-
-
-def _oracle_number(instance: NumberInstance):
-    if instance.problem == "nddcc":
-        return brute_force_nddcc(instance.sequence, instance.budget, instance.lists)
-    if instance.problem == "nddsc":
-        return brute_force_nddsc(instance.sequence, instance.target)
-    max_value = instance.max_value
-    if max_value is None:
-        max_value = instance.sequence.max_component
-    return brute_force_nda(
-        instance.sequence, instance.budget, instance.anonymity, max_value
-    )
-
-
-def emit_number_solution(instance: NumberInstance, result) -> str:
-    data = {
-        "format": SEQUENCE_SOLUTION_FORMAT,
-        "version": FORMAT_VERSION,
-        "problem": instance.problem,
-        "decision": "yes" if result is not None else "no",
-    }
-    if result is not None:
-        if instance.problem == "nddsc":
-            data["assignment"] = list(result.mapping)
-        else:
-            data["target_sequence"] = [list(p) for p in result.target]
-            data["demand_in"] = list(result.demands.in_demand)
-            data["demand_out"] = list(result.demands.out_demand)
-    return _dump(data)
-
-
 def _cmd_numprob(args, out, err) -> int:
     instance = parse_number_instance(_read(args.input))
-    result = _solve_number(instance)
-    if args.oracle:
-        try:
-            reference = _oracle_number(instance)
-        except InstanceTooLargeError as exc:
-            print(f"oracle skipped: {exc}", file=err)
-        else:
-            if (reference is None) != (result is None):
-                print(
-                    "oracle mismatch: solver said "
-                    f"{'yes' if result else 'no'}, brute force said "
-                    f"{'yes' if reference else 'no'}",
-                    file=err,
-                )
-                return 2
-            print("oracle agreement: ok", file=out)
+    solver, oracle, fields = _NUMBER_PROBLEMS[instance.problem]
+    arguments = [instance.sequence] + [getattr(instance, f) for f in fields]
+    result = solver(*arguments)
+    if args.oracle and not _cross_check(
+        result, lambda: oracle(*arguments), out, err
+    ):
+        return 2
     print(f"decision: {'yes' if result is not None else 'no'}", file=out)
     if args.output:
         _write(args.output, emit_number_solution(instance, result))
@@ -577,10 +547,7 @@ def _cmd_gen(args, out, err) -> int:
             slack=args.slack,
         )
         text = emit_instance(instance)
-    if args.output:
-        _write(args.output, text)
-    else:
-        out.write(text)
+    _write_or_print(args.output, text, out)
     return 0
 
 
@@ -592,19 +559,12 @@ def _cmd_network(args, out, err) -> int:
     if len(in_demand) != d.n or len(out_demand) != d.n:
         raise SemanticError("demand lists must cover every vertex")
     network = build_network(d, DemandVector(tuple(in_demand), tuple(out_demand)))
-    data = {
-        "format": "arcfill-network",
-        "version": FORMAT_VERSION,
-        "nodes": network.node_count(),
-        "source": network.source,
-        "sink": network.sink,
-        "edges": [[u, v, cap] for (u, v, cap) in network.edge_list()],
-    }
-    text = _dump(data)
-    if args.output:
-        _write(args.output, text)
-    else:
-        out.write(text)
+    data = _header("arcfill-network")
+    data["nodes"] = network.node_count()
+    data["source"] = network.source
+    data["sink"] = network.sink
+    data["edges"] = [[u, v, cap] for (u, v, cap) in network.edge_list()]
+    _write_or_print(args.output, _dump(data), out)
     return 0
 
 

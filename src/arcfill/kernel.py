@@ -180,15 +180,14 @@ def kernelize_ddseqc(d: Digraph, target: DegreeSequence) -> KernelResult:
         return KernelResult(
             KernelVerdict.TRIVIAL_NO, None, reason=TrivialNoReason.TARGET_MAX_TOO_SMALL
         )
-    grow_in = target.sum_indeg - sequence.sum_indeg
-    grow_out = target.sum_outdeg - sequence.sum_outdeg
-    if grow_in != grow_out or grow_in < 0:
+    instance = SequenceCompletion(d, target)
+    s = instance.implied_insertions()
+    if s is None:
         return KernelResult(
             KernelVerdict.TRIVIAL_NO,
             None,
             reason=TrivialNoReason.INSERTION_COUNTS_INVALID,
         )
-    s = grow_in
     # Insertions move at most 2s vertices out of a block, so a block that
     # overfills its target multiplicity by more than 2s is unfixable.
     target_counts = target.as_multiset()
@@ -206,7 +205,6 @@ def kernelize_ddseqc(d: Digraph, target: DegreeSequence) -> KernelResult:
         return KernelResult(KernelVerdict.TRIVIAL_YES, None)
     chosen = compute_alpha_set(d, None, quota(s, d.max_degree))
     if len(chosen) == d.n:
-        instance = SequenceCompletion(d, target)
         return KernelResult(
             KernelVerdict.UNCHANGED, instance, {v: v for v in range(d.n)}
         )
@@ -214,18 +212,14 @@ def kernelize_ddseqc(d: Digraph, target: DegreeSequence) -> KernelResult:
     kept_set = set(kept)
     base = len(kept)
     dummies = target.max_component + 2
-    index = {orig: i for i, orig in enumerate(kept)}
-    arcs = [
-        (index[u], index[v]) for (u, v) in d.arcs if u in kept_set and v in kept_set
-    ]
+    arcs = list(d.induced(kept).arcs)
     arcs += [
         (base + i, base + j)
         for i in range(dummies)
         for j in range(dummies)
         if i != j
     ]
-    for orig in kept:
-        v = index[orig]
+    for v, orig in enumerate(kept):
         repair_in = sum(1 for u in d.in_neighbors(orig) if u not in kept_set)
         repair_out = sum(1 for u in d.out_neighbors(orig) if u not in kept_set)
         arcs += [(base + i, v) for i in range(repair_in)]
@@ -301,15 +295,11 @@ def kernelize_dda(d: Digraph, k: int, s: int) -> KernelResult:
         chosen.extend(block[:keep])
     kept = sorted(chosen)
     kept_set = set(kept)
-    index = {orig: i for i, orig in enumerate(kept)}
-    arcs = [
-        (index[u], index[v]) for (u, v) in d.arcs if u in kept_set and v in kept_set
-    ]
+    arcs = list(d.induced(kept).arcs)
     next_id = len(kept)
     receivers: list[int] = []  # repair vertices with one incoming arc
     senders: list[int] = []  # repair vertices with one outgoing arc
-    for orig in kept:
-        v = index[orig]
+    for v, orig in enumerate(kept):
         for u in d.out_neighbors(orig):
             if u not in kept_set:
                 arcs.append((v, next_id))

@@ -146,20 +146,36 @@ def solve_nddsc(sigma: DegreeSequence, phi: DegreeSequence) -> Bijection | None:
     ]
     match_right = [-1] * n
 
-    def augment(i: int, seen: list[bool]) -> bool:
-        for j in adjacency[i]:
-            if not seen[j]:
-                seen[j] = True
-                if match_right[j] < 0 or augment(match_right[j], seen):
-                    match_right[j] = i
-                    return True
+    def augment(root: int) -> bool:
+        # Depth-first search for an augmenting path, with an explicit stack so
+        # long paths cannot overflow the interpreter's recursion limit.  Frame
+        # k holds row rows[k] and the rest of its adjacency; cols[k] is the
+        # column it took to reach frame k + 1.
+        seen = [False] * n
+        rows = [root]
+        frames = [iter(adjacency[root])]
+        cols: list[int] = []
+        while frames:
+            for j in frames[-1]:
+                if not seen[j]:
+                    seen[j] = True
+                    break
+            else:
+                rows.pop()
+                frames.pop()
+                if cols:
+                    cols.pop()
+                continue
+            cols.append(j)
+            if match_right[j] < 0:
+                for i, col in zip(rows, cols):
+                    match_right[col] = i
+                return True
+            rows.append(match_right[j])
+            frames.append(iter(adjacency[match_right[j]]))
         return False
 
-    matched = 0
-    for i in range(n):
-        if augment(i, [False] * n):
-            matched += 1
-    if matched < n:
+    if not all(augment(i) for i in range(n)):
         return None
     mapping = [0] * n
     for j, i in enumerate(match_right):

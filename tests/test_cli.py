@@ -9,6 +9,7 @@ from arcfill import (
     Digraph,
     SequenceCompletion,
 )
+from arcfill import cli
 from arcfill.cli import (
     NumberInstance,
     ParseError,
@@ -136,7 +137,7 @@ def test_verify_rejects_non_integer_endpoints(tmp_path):
     _run(["solve", "--input", str(instance_path), "--output", str(solution_path)])
     payload = json.loads(solution_path.read_text())
     assert payload["arcs"] == [[3, 0]]
-    for endpoint in (None, [0], "0", 0.0):
+    for endpoint in (None, [0], "0", 0.0, True):
         payload["arcs"] = [[3, endpoint]]
         text = json.dumps(payload)
         with pytest.raises(ParseError):
@@ -146,6 +147,16 @@ def test_verify_rejects_non_integer_endpoints(tmp_path):
             ["verify", "--input", str(instance_path), "--solution", str(solution_path)]
         )
         assert code == 2 and "error:" in err, endpoint
+
+
+def test_boolean_budget_exits_2(tmp_path):
+    # JSON true loads as a bool, which Python counts as the integer 1.
+    payload = json.loads(emit_instance(anonymity_example()))
+    payload["budget"] = True
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = _run(["solve", "--input", str(path)])
+    assert code == 2 and "field 'budget' has the wrong type" in err
 
 
 def test_non_list_degree_list_entry_exits_2(tmp_path):
@@ -237,6 +248,24 @@ def test_gen_partition_then_numprob(tmp_path):
     assert instance.problem == "nda" and instance.budget == 1
     code, out, err = _run(["numprob", "--input", str(seq_path), "--oracle"])
     assert code == 0 and "decision: yes" in out
+
+
+def test_oracle_mismatch_exits_2(tmp_path, monkeypatch):
+    # A brute force that always answers "no" contradicts both solvers' "yes".
+    monkeypatch.setattr("arcfill.cli.brute_force_graph", lambda *a, **k: None)
+    solver, _, fields = cli._NUMBER_PROBLEMS["nda"]
+    monkeypatch.setitem(
+        cli._NUMBER_PROBLEMS, "nda", (solver, lambda *a: None, fields)
+    )
+    graph_path = tmp_path / "instance.json"
+    graph_path.write_text(emit_instance(sequence_example()))
+    number_path = tmp_path / "partition.json"
+    assert _run(["gen", "--partition", "1,1", "--output", str(number_path)])[0] == 0
+    for command, path in (("solve", graph_path), ("numprob", number_path)):
+        code, out, err = _run([command, "--input", str(path), "--oracle"])
+        assert code == 2, command
+        assert err == "oracle mismatch: solver said yes, brute force said no\n"
+        assert "decision" not in out
 
 
 def test_numprob_oracle_skips_oversized_cross_checks(tmp_path):

@@ -1,4 +1,9 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -204,3 +209,26 @@ def test_demands_from_solution():
         demands_from_solution(DegreeSequence([(1, 0)]), DegreeSequence([(0, 1)]))
     with pytest.raises(LengthMismatchError):
         demands_from_solution(DegreeSequence([(1, 0)]), DegreeSequence(()))
+
+
+def test_solve_nddsc_survives_low_recursion_limit():
+    # Matching identical all-zero sequences makes every augmenting path walk
+    # through all earlier rows, so a recursive search needs depth n.
+    script = textwrap.dedent(
+        """
+        import sys
+        from arcfill import DegreeSequence, solve_nddsc
+
+        sequence = DegreeSequence([(0, 0)] * 150)
+        sys.setrecursionlimit(80)
+        print(solve_nddsc(sequence, sequence) is not None)
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "True\n"
