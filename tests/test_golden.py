@@ -9,8 +9,8 @@ anonymity number route needs a budget above 512 even on an empty digraph,
 so its case has 33 vertices and budget 513.
 
 Each number case pins the exit code of `numprob --oracle` and a digest of
-its stdout and solution file; each `gen` case pins the exit code and a
-digest of its stdout and output file.
+its stdout and solution file; each `gen` and `network` case pins the exit
+code and a digest of its stdout and output file.
 """
 
 from __future__ import annotations
@@ -39,6 +39,15 @@ from conftest import (
     random_sequence_instance,
     sequence_example,
 )
+
+
+def _two_phase_flow() -> SequenceCompletion:
+    """s = 12 > 2 * 2**2; its max flow takes two Dinic phases, so the witness
+    shows the order in which augmenting paths use reverse arcs."""
+    return SequenceCompletion(
+        Digraph(10, [(0, 1), (1, 2), (2, 1), (4, 2), (5, 3), (5, 4), (8, 0)]),
+        DegreeSequence([(2, 2)] * 6 + [(2, 1), (2, 2), (1, 2), (2, 2)]),
+    )
 
 
 def _cases():
@@ -76,6 +85,7 @@ def _cases():
         "ddseqc-number-flow": SequenceCompletion(
             Digraph(8), DegreeSequence([(1, 1)] * 3 + [(0, 0)] * 5)
         ),
+        "ddseqc-number-flow-two-phases": _two_phase_flow(),
         "ddseqc-fixture": sequence_example(),
         # dda
         "dda-trivial-no": seeded(random_anonymity_instance, 4),
@@ -106,6 +116,7 @@ GOLDEN = {
     "ddseqc-unchanged-search": (0, 0, "97a93c1d24af1366"),
     "ddseqc-reduced-search": (0, 0, "fe57ed9533e210a7"),
     "ddseqc-number-flow": (0, 0, "cdbf52dda3aca46d"),
+    "ddseqc-number-flow-two-phases": (0, 0, "8089f3fddcf8e942"),
     "ddseqc-fixture": (0, 0, "5af3662155378296"),
     "dda-trivial-no": (1, 1, "973745abfca6951d"),
     "dda-trivial-yes": (0, 0, "949f27ffbf0162ad"),
@@ -220,6 +231,18 @@ GEN_GOLDEN = {
 }
 
 
+# The demands of the two-phase case's witness, one arc per unit.
+NETWORK_CASES = {
+    "network-two-phases": ["--demands-in", "0,0,0,1,1,2,2,2,1,2",
+                           "--demands-out", "1,1,1,1,1,0,2,2,1,2"],
+}
+
+# case -> (network exit code, digest of stdout and the output file)
+NETWORK_GOLDEN = {
+    "network-two-phases": (0, "3ec97feb509a92da"),
+}
+
+
 def _digest(*parts: bytes) -> str:
     return hashlib.sha256(b"\0".join(parts)).hexdigest()[:16]
 
@@ -249,6 +272,15 @@ def test_gen_golden_bytes(tmp_path, name):
     assert out.getvalue().encode() == (tmp_path / "output.json").read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(NETWORK_GOLDEN))
+def test_network_golden_bytes(tmp_path, name):
+    source = tmp_path / "instance.json"
+    source.write_text(emit_instance(_two_phase_flow()))
+    argv = ["network", "--input", str(source)] + NETWORK_CASES[name]
+    assert _run_to_file(tmp_path, argv) == NETWORK_GOLDEN[name]
+
+
 def test_every_number_and_gen_case_is_pinned():
     assert sorted(NUMBER_GOLDEN) == sorted(NUMBER_CASES)
     assert sorted(GEN_GOLDEN) == sorted(GEN_CASES)
+    assert sorted(NETWORK_GOLDEN) == sorted(NETWORK_CASES)
