@@ -563,7 +563,7 @@ def _cmd_network(args, out, err) -> int:
     data["nodes"] = network.node_count()
     data["source"] = network.source
     data["sink"] = network.sink
-    data["edges"] = [[u, v, cap] for (u, v, cap) in network.edge_list()]
+    data["edges"] = [[u, v, cap] for (u, v, cap) in network.edges()]
     _write_or_print(args.output, _dump(data), out)
     return 0
 

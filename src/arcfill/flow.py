@@ -95,19 +95,18 @@ class FlowNetwork:
     def node_count(self) -> int:
         return 2 * self.n + 2
 
-    def edge_list(self) -> list[tuple[int, int, int]]:
-        """Canonical (tail, head, capacity) listing for debugging dumps."""
-        edges = [
-            (self.source, self.out_copy(i), self.source_caps[i])
-            for i in range(self.n)
-        ]
-        edges += [
-            (self.in_copy(i), self.sink, self.sink_caps[i]) for i in range(self.n)
-        ]
-        edges += [
-            (self.out_copy(i), self.in_copy(j), 1) for (i, j) in self.unit_arcs
-        ]
-        return edges
+    def edges(self):
+        """Yield every network edge as (tail, head, capacity), in canonical order.
+
+        Source edges come first, then sink edges, then one unit edge per
+        entry of ``unit_arcs``.
+        """
+        for i in range(self.n):
+            yield self.source, self.out_copy(i), self.source_caps[i]
+        for i in range(self.n):
+            yield self.in_copy(i), self.sink, self.sink_caps[i]
+        for i, j in self.unit_arcs:
+            yield self.out_copy(i), self.in_copy(j), 1
 
 
 def build_network(d: Digraph, demands: DemandVector) -> FlowNetwork:
@@ -122,89 +121,69 @@ def build_network(d: Digraph, demands: DemandVector) -> FlowNetwork:
     )
 
 
-class _Dinic:
-    """Blocking-flow max flow with integral capacities.
+def max_flow(net: FlowNetwork) -> tuple[int, frozenset[Arc]]:
+    """Maximum integral s-t flow and the digraph arcs of saturated unit arcs.
 
-    Edges are stored as parallel arrays; edge k and k^1 are a forward/backward
-    pair.  Adjacency preserves insertion order, which keeps results
-    deterministic for a fixed construction order.
+    Dinic's algorithm on the edges of ``net.edges()``: edge 2e is the e-th
+    edge and 2e + 1 its reverse, and each node's adjacency keeps that order,
+    which keeps the saturated set deterministic.  Every source-to-sink path
+    crosses a unit edge or its reverse, so each augmenting path carries
+    exactly one unit.
     """
-
-    def __init__(self, nodes: int):
-        self.adj: list[list[int]] = [[] for _ in range(nodes)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add_edge(self, u: int, v: int, capacity: int) -> int:
-        idx = len(self.to)
-        self.adj[u].append(idx)
-        self.to.append(v)
-        self.cap.append(capacity)
-        self.adj[v].append(idx + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        return idx
-
-    def max_flow(self, s: int, t: int) -> int:
-        total = 0
-        while True:
-            level = self._levels(s, t)
-            if level[t] < 0:
-                return total
-            it = [0] * len(self.adj)
-            while True:
-                pushed = self._augment(s, t, float("inf"), level, it)
-                if not pushed:
-                    break
-                total += pushed
-
-    def _levels(self, s: int, t: int) -> list[int]:
-        level = [-1] * len(self.adj)
+    nodes = net.node_count()
+    adj: list[list[int]] = [[] for _ in range(nodes)]
+    to: list[int] = []
+    cap: list[int] = []
+    for u, v, capacity in net.edges():
+        adj[u].append(len(to))
+        adj[v].append(len(to) + 1)
+        to += (v, u)
+        cap += (capacity, 0)
+    s, t = net.source, net.sink
+    value = 0
+    while True:
+        level = [-1] * nodes
         level[s] = 0
         queue = [s]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            for k in self.adj[u]:
-                v = self.to[k]
-                if self.cap[k] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        return level
-
-    def _augment(self, u: int, t: int, limit, level, it) -> int:
-        if u == t:
-            return int(limit)
-        while it[u] < len(self.adj[u]):
-            k = self.adj[u][it[u]]
-            v = self.to[k]
-            if self.cap[k] > 0 and level[v] == level[u] + 1:
-                pushed = self._augment(v, t, min(limit, self.cap[k]), level, it)
-                if pushed:
-                    self.cap[k] -= pushed
-                    self.cap[k ^ 1] += pushed
-                    return pushed
-            it[u] += 1
-        return 0
-
-
-def max_flow(net: FlowNetwork) -> tuple[int, frozenset[Arc]]:
-    """Maximum integral s-t flow and the digraph arcs of saturated unit arcs."""
-    dinic = _Dinic(net.node_count())
-    for i in range(net.n):
-        dinic.add_edge(net.source, net.out_copy(i), net.source_caps[i])
-    for i in range(net.n):
-        dinic.add_edge(net.in_copy(i), net.sink, net.sink_caps[i])
-    unit_edge_ids = [
-        dinic.add_edge(net.out_copy(i), net.in_copy(j), 1)
-        for (i, j) in net.unit_arcs
-    ]
-    value = dinic.max_flow(net.source, net.sink)
+        for u in queue:
+            for k in adj[u]:
+                if cap[k] > 0 and level[to[k]] < 0:
+                    level[to[k]] = level[u] + 1
+                    queue.append(to[k])
+        if level[t] < 0:
+            break
+        # Blocking flow: ``path`` holds the edges from s to u, and it[u] is
+        # the first edge of u not yet found to lead to a dead end.
+        it = [0] * nodes
+        path: list[int] = []
+        u = s
+        while True:
+            if u == t:
+                for k in path:
+                    cap[k] -= 1
+                    cap[k ^ 1] += 1
+                value += 1
+                path.clear()
+                u = s
+            out = adj[u]
+            for i in range(it[u], len(out)):
+                k = out[i]
+                if cap[k] > 0 and level[to[k]] == level[u] + 1:
+                    it[u] = i
+                    path.append(k)
+                    u = to[k]
+                    break
+            else:
+                it[u] = len(out)
+                if not path:
+                    break
+                u = to[path.pop() ^ 1]
+                it[u] += 1
+    first_unit = 4 * net.n
     saturated = frozenset(
         arc
-        for arc, k in zip(net.unit_arcs, unit_edge_ids)
-        if dinic.cap[k] == 0
+        for e, arc in enumerate(net.unit_arcs)
+        if cap[first_unit + 2 * e] == 0
     )
     return value, saturated
 
@@ -215,15 +194,13 @@ def try_realize_demands(d: Digraph, demands: DemandVector) -> set[Arc] | None:
     Succeeds iff the maximum flow of the demand network equals the balanced
     demand total.
     """
-    if len(demands) != d.n:
-        raise ValueError("demand vector length must equal vertex count")
+    net = build_network(d, demands)
     if not demands.is_balanced:
         raise UnbalancedDemandsError(
             f"total in {demands.total_in} != total out {demands.total_out}"
         )
-    s = demands.total_in
-    value, saturated = max_flow(build_network(d, demands))
-    if value != s:
+    value, saturated = max_flow(net)
+    if value != demands.total_in:
         return None
     return set(saturated)
 

@@ -19,6 +19,7 @@ from .core import (
     DegreePair,
     DegreeSequence,
     Digraph,
+    blocks,
     degree_sequence,
     is_satisfied,
     vertex_types,
@@ -275,12 +276,9 @@ def kernelize_dda(d: Digraph, k: int, s: int) -> KernelResult:
             KernelVerdict.UNCHANGED, instance, {v: v for v in range(d.n)}
         )
     k_new = min(k, beta)
-    members: dict[DegreePair, list[int]] = {}
-    for v in range(d.n):
-        members.setdefault(d.degree(v), []).append(v)
     chosen: list[int] = []
-    for pair in sorted(members):
-        block = members[pair]
+    for _, members in sorted(blocks(d).items()):
+        block = sorted(members)
         size = len(block)
         if 2 * s < size < k - 2 * s:
             return KernelResult(

@@ -1,4 +1,9 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -31,7 +36,7 @@ def test_demand_vector_validation():
 def test_build_network_two_vertices():
     net = build_network(Digraph(2), DemandVector((1, 0), (0, 1)))
     assert net.unit_arcs == ((0, 1), (1, 0))
-    edges = dict(((u, v), cap) for (u, v, cap) in net.edge_list())
+    edges = dict(((u, v), cap) for (u, v, cap) in net.edges())
     # out-copies are nodes 1..n, in-copies n+1..2n
     assert edges[(net.source, net.out_copy(0))] == 0
     assert edges[(net.source, net.out_copy(1))] == 1
@@ -80,6 +85,45 @@ def test_max_flow_three_cycle_demand():
     )
     assert value == 3
     assert len(saturated) == 3
+
+
+def test_max_flow_survives_low_recursion_limit():
+    # Each i < m matches m + 1 + i in the first phase, which leaves m stuck.
+    # The second phase then needs one augmenting path through every pair, so
+    # a recursive search needs depth 2m + 3.
+    script = textwrap.dedent(
+        """
+        import sys
+        from arcfill import DemandVector, Digraph, build_network, max_flow
+
+        m = 50
+        n = 2 * m + 2
+        missing = {(i, m + 1 + i) for i in range(m)}
+        missing |= {(i, m + 2 + i) for i in range(m)} | {(m, m + 1)}
+        arcs = [
+            (u, v)
+            for u in range(m + 1)
+            for v in range(m + 1, n)
+            if (u, v) not in missing
+        ]
+        demands = DemandVector(
+            (0,) * (m + 1) + (1,) * (m + 1), (1,) * (m + 1) + (0,) * (m + 1)
+        )
+        net = build_network(Digraph(n, arcs), demands)
+        sys.setrecursionlimit(80)
+        value, saturated = max_flow(net)
+        expected = {(i, m + 2 + i) for i in range(m)} | {(m, m + 1)}
+        print(value, saturated == expected)
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "51 True\n"
 
 
 def test_realize_demands_small_cycle():
