@@ -3,10 +3,11 @@
 Each vertex i of the input digraph gets two copies in the network: an
 out-copy fed from the source with capacity ``out_demand[i]`` and an in-copy
 draining to the sink with capacity ``in_demand[i]``.  A unit-capacity arc
-connects out-copy i to in-copy j for every insertable digraph arc (i, j).
-A unit of flow across such an arc corresponds to inserting (i, j), so an
-integral maximum flow of value s yields an arc set meeting all demands
-exactly whenever one exists.
+connects out-copy i to in-copy j for every insertable digraph arc (i, j)
+with ``out_demand[i] > 0`` and ``in_demand[j] > 0``; no flow could use an
+arc at any other pair.  A unit of flow across such an arc corresponds to
+inserting (i, j), so an integral maximum flow of value s yields an arc set
+meeting all demands exactly whenever one exists.
 
 The headline guarantee implemented by :func:`realize_demands`: when the
 demands are balanced at total s, every per-vertex final degree stays within
@@ -69,8 +70,10 @@ class FlowNetwork:
     """Demand network for a digraph.
 
     Node numbering: source = 0, out-copy of vertex i = 1 + i, in-copy of
-    vertex i = 1 + n + i, sink = 1 + 2n.  ``unit_arcs`` lists the insertable
-    digraph arcs (i, j) backing the unit-capacity network arcs, sorted.
+    vertex i = 1 + n + i, sink = 1 + 2n.  ``unit_arcs`` lists, sorted, the
+    insertable digraph arcs (i, j) backing the unit-capacity network arcs:
+    those whose tail has positive out-demand and whose head has positive
+    in-demand.
     """
 
     n: int
@@ -110,14 +113,27 @@ class FlowNetwork:
 
 
 def build_network(d: Digraph, demands: DemandVector) -> FlowNetwork:
-    """Build the demand network for d; deterministic node numbering."""
+    """Build the demand network for d; deterministic node numbering.
+
+    Unit arcs join only live copies: an out-copy without supply is never
+    reached and an in-copy without sink capacity is a dead end, so leaving
+    their arcs out changes neither the BFS levels of the other nodes, nor
+    the order of their remaining edges, nor the augmenting paths.
+    """
     if len(demands) != d.n:
         raise ValueError("demand vector length must equal vertex count")
+    heads = [j for j, x in enumerate(demands.in_demand) if x > 0]
     return FlowNetwork(
         n=d.n,
         source_caps=demands.out_demand,
         sink_caps=demands.in_demand,
-        unit_arcs=tuple(d.non_arcs()),
+        unit_arcs=tuple(
+            (i, j)
+            for i, y in enumerate(demands.out_demand)
+            if y > 0
+            for j in heads
+            if i != j and (i, j) not in d.arcs
+        ),
     )
 
 

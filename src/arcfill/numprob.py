@@ -82,14 +82,18 @@ def demands_from_solution(
 
 
 def solve_nddcc(
-    sigma: DegreeSequence, s: int, lists: DegreeListFunction
+    sigma: DegreeSequence, s: int, lists: DegreeListFunction, low: int | None = None
 ) -> NumberSolution | None:
-    """Raise entries into their allowed lists spending exactly s per component.
+    """Raise entries into their allowed lists spending b per component.
 
-    Dynamic program over prefixes: cell (i, j, l) is reachable when the first
-    i entries admit allowed targets whose increments sum to j on the first
-    and l on the second component.  Parent pointers record the chosen pair
-    per cell for reconstruction.
+    b is the smallest budget with ``low <= b <= s`` that admits a solution;
+    ``low`` defaults to s, which asks for exactly s.  Dynamic program over
+    prefixes, run once with bound s: cell (i, j, l) is reachable when the
+    first i entries admit allowed targets whose increments sum to j on the
+    first and l on the second component.  Parent pointers record the chosen
+    pair per cell for reconstruction.  Increments are nonnegative, so a cell
+    with both coordinates at most b only has parents within that bound, and
+    the witness at b equals the one a run with bound b would give.
     """
     n = len(sigma)
     if len(lists) != n:
@@ -98,6 +102,9 @@ def solve_nddcc(
         )
     if s < 0:
         raise ValueError("budget must be nonnegative")
+    low = s if low is None else low
+    if not 0 <= low <= s:
+        raise ValueError(f"lower budget {low} outside 0..{s}")
     reachable: set[tuple[int, int]] = {(0, 0)}
     parents: list[dict[tuple[int, int], DegreePair]] = []
     for i in range(n):
@@ -117,10 +124,11 @@ def solve_nddcc(
         reachable = set(level)
         if not reachable:
             return None
-    if (s, s) not in reachable:
+    b = next((b for b in range(low, s + 1) if (b, b) in reachable), None)
+    if b is None:
         return None
     target: list[DegreePair] = [DegreePair(0, 0)] * n
-    j, l = s, s
+    j, l = b, b
     for i in range(n - 1, -1, -1):
         pair = parents[i][(j, l)]
         target[i] = pair
@@ -136,24 +144,31 @@ def solve_nddsc(sigma: DegreeSequence, phi: DegreeSequence) -> Bijection | None:
     """Match each entry of sigma to a dominating entry of phi, bijectively.
 
     Maximum bipartite matching by augmenting paths on the dominance graph;
-    the answer is yes exactly when the matching is perfect.
+    the answer is yes exactly when the matching is perfect.  Rows i and i'
+    with ``sigma[i] == sigma[i']`` have the same columns, so the dominance
+    row is computed once per distinct type of sigma, and within one
+    augmenting search all frames of one type share one pass over that row:
+    every column a frame has passed is already seen by any later frame, so
+    the columns visited, and hence the matching, are those of a search that
+    scans each row from its start.
     """
     n = len(sigma)
     if len(phi) != n:
         raise LengthMismatchError(f"sequence lengths differ: {n} vs {len(phi)}")
-    adjacency = [
-        [j for j in range(n) if phi[j].dominates(sigma[i])] for i in range(n)
-    ]
+    rows_of = {
+        t: [j for j in range(n) if phi[j].dominates(t)] for t in set(sigma)
+    }
     match_right = [-1] * n
 
     def augment(root: int) -> bool:
         # Depth-first search for an augmenting path, with an explicit stack so
         # long paths cannot overflow the interpreter's recursion limit.  Frame
-        # k holds row rows[k] and the rest of its adjacency; cols[k] is the
-        # column it took to reach frame k + 1.
+        # k holds row rows[k] and its type's shared pass over the columns;
+        # cols[k] is the column it took to reach frame k + 1.
         seen = [False] * n
+        passes = {t: iter(row) for t, row in rows_of.items()}
         rows = [root]
-        frames = [iter(adjacency[root])]
+        frames = [passes[sigma[root]]]
         cols: list[int] = []
         while frames:
             for j in frames[-1]:
@@ -172,7 +187,7 @@ def solve_nddsc(sigma: DegreeSequence, phi: DegreeSequence) -> Bijection | None:
                     match_right[col] = i
                 return True
             rows.append(match_right[j])
-            frames.append(iter(adjacency[match_right[j]]))
+            frames.append(passes[sigma[match_right[j]]])
         return False
 
     if not all(augment(i) for i in range(n)):

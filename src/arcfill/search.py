@@ -164,11 +164,12 @@ def solve_bounded(
     return None
 
 
-def _demands(number) -> DemandVector | None:
+def _listed_demands(work, sequence, low, high, cap) -> DemandVector | None:
+    number = solve_nddcc(sequence, high, work.allowed, low)
     return None if number is None else number.demands
 
 
-def _matched_demands(work, sequence, budget, cap) -> DemandVector | None:
+def _matched_demands(work, sequence, low, high, cap) -> DemandVector | None:
     matching = solve_nddsc(sequence, work.target)
     if matching is None:
         return None
@@ -176,12 +177,21 @@ def _matched_demands(work, sequence, budget, cap) -> DemandVector | None:
     return demands_from_solution(sequence, target)
 
 
-# Per problem: the number step (instance, degree sequence, budget, cap) ->
-# demands or None, and the kernel step (instance, cap) -> KernelResult.
-# Both look the solvers up as module globals at call time.
+def _anonymous_demands(work, sequence, low, high, cap) -> DemandVector | None:
+    for budget in range(low, high + 1):
+        number = solve_nda(sequence, budget, work.anonymity, cap)
+        if number is not None:
+            return number.demands
+    return None
+
+
+# Per problem: the number step (instance, degree sequence, low, high, cap) ->
+# demands at the smallest feasible budget in low..high, or None; and the
+# kernel step (instance, cap) -> KernelResult.  Both look the solvers up as
+# module globals at call time.
 _STEPS = {
     "ddconc": (
-        lambda work, seq, b, cap: _demands(solve_nddcc(seq, b, work.allowed)),
+        _listed_demands,
         lambda work, cap: kernelize_ddconc(
             work.digraph, work.budget, work.allowed, cap
         ),
@@ -191,7 +201,7 @@ _STEPS = {
         lambda work, cap: kernelize_ddseqc(work.digraph, work.target),
     ),
     "dda": (
-        lambda work, seq, b, cap: _demands(solve_nda(seq, b, work.anonymity, cap)),
+        _anonymous_demands,
         lambda work, cap: kernelize_dda(work.digraph, work.anonymity, work.budget),
     ),
 }
@@ -221,12 +231,10 @@ def solve(instance: ProblemInstance) -> Solution | None:
         threshold = 2 * cap * cap
         if s <= threshold:
             break
-        sequence = degree_sequence(d)
-        budgets = [s] if work.exact_size else range(threshold + 1, s + 1)
-        for budget in budgets:
-            demands = number_step(work, sequence, budget, cap)
-            if demands is not None:
-                return _finish(instance, realize_demands(d, demands, cap))
+        low = s if work.exact_size else threshold + 1
+        demands = number_step(work, degree_sequence(d), low, s, cap)
+        if demands is not None:
+            return _finish(instance, realize_demands(d, demands, cap))
         if work.exact_size:
             # The size is forced, so no smaller budget is left to try.
             return None

@@ -10,6 +10,7 @@ import pytest
 from arcfill import (
     DemandVector,
     Digraph,
+    FlowNetwork,
     PreconditionViolatedError,
     UnbalancedDemandsError,
     add_arcs,
@@ -35,14 +36,15 @@ def test_demand_vector_validation():
 
 def test_build_network_two_vertices():
     net = build_network(Digraph(2), DemandVector((1, 0), (0, 1)))
-    assert net.unit_arcs == ((0, 1), (1, 0))
+    # Only vertex 1 has out-demand and only vertex 0 has in-demand.
+    assert net.unit_arcs == ((1, 0),)
     edges = dict(((u, v), cap) for (u, v, cap) in net.edges())
     # out-copies are nodes 1..n, in-copies n+1..2n
     assert edges[(net.source, net.out_copy(0))] == 0
     assert edges[(net.source, net.out_copy(1))] == 1
     assert edges[(net.in_copy(0), net.sink)] == 1
     assert edges[(net.in_copy(1), net.sink)] == 0
-    assert edges[(net.out_copy(0), net.in_copy(1))] == 1
+    assert (net.out_copy(0), net.in_copy(1)) not in edges
     assert edges[(net.out_copy(1), net.in_copy(0))] == 1
 
 
@@ -54,7 +56,33 @@ def test_build_network_complete_digraph_has_no_unit_arcs():
 
 def test_build_network_counts_oriented_non_arcs():
     net = build_network(Digraph(3), DemandVector((0,) * 3, (0,) * 3))
+    assert len(net.unit_arcs) == 0
+    net = build_network(Digraph(3), DemandVector((1,) * 3, (1,) * 3))
     assert len(net.unit_arcs) == 6
+
+
+def test_live_copy_network_keeps_the_full_network_flow():
+    # The full network also joins copies without supply or sink capacity;
+    # no flow crosses those arcs, so the maximum flow and its saturated
+    # arcs must not change when they are left out.
+    rng = random.Random(2024)
+    for _ in range(2000):
+        n = rng.randint(1, 12)
+        d = bounded_digraph(rng, n, max_degree=n - 1, density=rng.random())
+        demands = DemandVector(
+            tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(n)),
+            tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(n)),
+        )
+        full = FlowNetwork(
+            n, demands.out_demand, demands.in_demand, tuple(d.non_arcs())
+        )
+        live = build_network(d, demands)
+        assert max_flow(live) == max_flow(full)
+        assert len(live.unit_arcs) == sum(
+            1
+            for (i, j) in d.non_arcs()
+            if demands.out_demand[i] > 0 and demands.in_demand[j] > 0
+        )
 
 
 def test_node_numbering_is_contiguous():

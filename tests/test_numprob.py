@@ -75,6 +75,40 @@ def test_solve_nddcc_matches_bruteforce():
             assert satisfies_nddcc(sigma, s, lists, fast)
 
 
+def test_solve_nddcc_lower_budget_takes_smallest_feasible_budget():
+    rng = random.Random(11)
+    for _ in range(2000):
+        n = rng.randint(1, 6)
+        sigma = DegreeSequence(
+            [(rng.randint(0, 2), rng.randint(0, 2)) for _ in range(n)]
+        )
+        lists = DegreeListFunction(
+            [
+                {
+                    (rng.randint(0, 4), rng.randint(0, 4))
+                    for _ in range(rng.randint(1, 4))
+                }
+                for _ in range(n)
+            ],
+            bound=4,
+        )
+        s = rng.randint(0, 10)
+        low = rng.randint(0, s)
+        per_budget = next(
+            (
+                found
+                for b in range(low, s + 1)
+                if (found := solve_nddcc(sigma, b, lists)) is not None
+            ),
+            None,
+        )
+        assert solve_nddcc(sigma, s, lists, low) == per_budget
+    one = DegreeSequence([(0, 0)])
+    for low in (-1, 3):
+        with pytest.raises(ValueError):
+            solve_nddcc(one, 2, DegreeListFunction([[(1, 1)]]), low)
+
+
 def test_solve_nddsc_identity_and_impossible():
     sigma = DegreeSequence([(1, 2), (0, 1)])
     assert solve_nddsc(sigma, sigma) is not None
@@ -109,6 +143,49 @@ def test_solve_nddsc_matches_bruteforce():
         assert (fast is None) == (slow is None)
         if fast is not None:
             assert satisfies_nddsc(sigma, phi, fast)
+
+
+def _naive_nddsc(sigma, phi):
+    """Augmenting-path matching with a full row per entry and a fresh scan
+    of that row in every frame."""
+    n = len(sigma)
+    rows = [[j for j in range(n) if phi[j].dominates(sigma[i])] for i in range(n)]
+    match_right = [-1] * n
+
+    def augment(i, seen):
+        for j in rows[i]:
+            if not seen[j]:
+                seen[j] = True
+                if match_right[j] < 0 or augment(match_right[j], seen):
+                    match_right[j] = i
+                    return True
+        return False
+
+    if not all(augment(i, [False] * n) for i in range(n)):
+        return None
+    mapping = [0] * n
+    for j, i in enumerate(match_right):
+        mapping[i] = j
+    return tuple(mapping)
+
+
+def test_solve_nddsc_matches_naive_matching():
+    rng = random.Random(300)
+    for _ in range(80):
+        n = rng.randint(1, 300)
+        pool = [
+            (rng.randint(0, 4), rng.randint(0, 4))
+            for _ in range(rng.randint(1, 16))
+        ]
+        sigma = DegreeSequence([rng.choice(pool) for _ in range(n)])
+        phi = DegreeSequence(
+            [
+                (a + rng.choice((0, 0, 1, 2)), b + rng.choice((0, 0, 1, 2)))
+                for (a, b) in (rng.choice(pool) for _ in range(n))
+            ]
+        )
+        fast = solve_nddsc(sigma, phi)
+        assert (None if fast is None else fast.mapping) == _naive_nddsc(sigma, phi)
 
 
 def test_solve_nda_zero_budget_cases():

@@ -21,6 +21,7 @@ from arcfill import (
     solve_bounded,
     verify_solution,
 )
+from arcfill import search
 from arcfill.search import Solution
 from conftest import (
     anonymity_example,
@@ -98,6 +99,21 @@ def test_list_large_budget_goes_through_dp_and_flow():
     solution = solve(inst)
     assert solution is not None and len(solution.arcs) == 10
     assert verify_solution(inst, solution)
+
+
+def test_list_large_budget_runs_one_dp_pass(monkeypatch):
+    # Budgets 3..12 lie above the threshold 2 * 1**2; one DP pass covers all.
+    calls = []
+    original = search.solve_nddcc
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(search, "solve_nddcc", counted)
+    inst = ListCompletion(Digraph(10), 12, DegreeListFunction.uniform(10, [(1, 1)]))
+    assert solve(inst) is not None
+    assert len(calls) == 1
 
 
 def test_list_large_budget_exact_totals():
