@@ -416,8 +416,8 @@ def _cross_check(result, oracle, out, err) -> bool:
     if (reference is None) != (result is None):
         print(
             "oracle mismatch: solver said "
-            f"{'yes' if result else 'no'}, brute force said "
-            f"{'yes' if reference else 'no'}",
+            f"{'yes' if result is not None else 'no'}, brute force said "
+            f"{'yes' if reference is not None else 'no'}",
             file=err,
         )
         return False

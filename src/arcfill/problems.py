@@ -5,8 +5,9 @@ degree-list completion, ``ddseqc`` for exact-target-sequence completion,
 ``dda`` for k-anonymous completion.
 
 Each type tells the pipeline what differs between the problems: the cap on
-solution degrees, the budget that sizes the search, the instance actually
-solved at a budget, the final-degree condition, and its file fields.
+solution degrees, the budget that sizes the search, the least size the search
+starts at, the instance actually solved at a budget, the final-degree
+condition, and its file fields.
 """
 
 from __future__ import annotations
@@ -43,6 +44,10 @@ class _Problem:
     def size_budget(self) -> int | None:
         return self.budget
 
+    def size_floor(self) -> int:
+        """A lower bound on the arc count of any solution."""
+        return 0
+
 
 @dataclass(frozen=True)
 class ListCompletion(_Problem):
@@ -68,6 +73,23 @@ class ListCompletion(_Problem):
     def degree_cap(self) -> int:
         d = self.digraph
         return min(self.allowed.bound, d.max_degree + self.budget, _roof(d))
+
+    def size_floor(self) -> int:
+        # Each inserted arc adds one indegree and one outdegree, so a solution
+        # needs at least the summed least in-gains, and the summed least
+        # out-gains, to listed pairs that dominate the current degrees.  With
+        # no such pair at some vertex, no solution exists, so the bound goes
+        # above the number of insertable pairs.
+        d = self.digraph
+        need_in = need_out = 0
+        for v, entry in enumerate(self.allowed.lists):
+            have = d.degree(v)
+            gains = [p - have for p in entry if p.dominates(have)]
+            if not gains:
+                return _free_pairs(d) + 1
+            need_in += min(g.indeg for g in gains)
+            need_out += min(g.outdeg for g in gains)
+        return max(need_in, need_out)
 
     def at_budget(self, s: int) -> "ListCompletion":
         # Degree pairs beyond n - 1 per component can never be realized in a
@@ -129,6 +151,8 @@ class SequenceCompletion(_Problem):
 
     def size_budget(self) -> int | None:
         return self.implied_insertions()
+
+    size_floor = size_budget  # the size is forced
 
     def at_budget(self, s: int | None) -> "SequenceCompletion | None":
         d = self.digraph

@@ -10,8 +10,9 @@ realization is then guaranteed to install as concrete arcs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
-from .core import DegreePair, DegreeSequence, degree_sequence
+from .core import DegreeSequence, degree_sequence
 from .flow import DemandVector, realize_demands
 from .kernel import (
     KernelResult,
@@ -99,18 +100,18 @@ def solve_bounded(
     """Exhaustive search over arc sets inside a representative vertex set.
 
     Candidate arcs are the insertable pairs within the representative set,
-    sorted by (tail, head); subsets are tried by increasing cardinality and
-    then lexicographic rank, so the first valid hit is the canonical minimal
-    solution.  Intended for budgets already reduced below twice the squared
-    degree cap.
+    sorted by (tail, head).  ``itertools.combinations`` yields their subsets
+    by increasing cardinality, starting at the problem's ``size_floor()``,
+    and then lexicographic rank, so the first valid hit is the canonical
+    minimal solution.  Intended for budgets already reduced below twice the
+    squared degree cap.
     """
     d = instance.digraph
     budget = instance.size_budget()
     if budget is None:
         return None
-    lists = instance.lists
     chosen = compute_alpha_set(
-        d, lists, quota(budget, d.max_degree), instance.degree_cap()
+        d, instance.lists, quota(budget, d.max_degree), instance.degree_cap()
     )
     if restrict_to is not None:
         chosen &= restrict_to
@@ -120,47 +121,20 @@ def solve_bounded(
         for v in chosen
         if u != v and (u, v) not in d.arcs
     )
-    if instance.exact_size and budget > len(pairs):
-        return None
-    sizes = [budget] if instance.exact_size else range(min(budget, len(pairs)) + 1)
-
     indeg = [d.indegree(v) for v in range(d.n)]
     outdeg = [d.outdegree(v) for v in range(d.n)]
     valid_now = instance.final_check()
-    chosen_arcs: list[Arc] = []
-
-    def dfs(start: int, remaining: int) -> tuple[Arc, ...] | None:
-        if lists is not None:
-            # An insertion changes at most two vertex degrees, so too many
-            # unsatisfied vertices for the remaining budget is a dead end.
-            unsatisfied = sum(
-                1
-                for v in range(d.n)
-                if DegreePair(indeg[v], outdeg[v]) not in lists[v]
-            )
-            if unsatisfied > 2 * remaining:
-                return None
-        if remaining == 0:
-            return tuple(chosen_arcs) if valid_now(indeg, outdeg) else None
-        for idx in range(start, len(pairs)):
-            if len(pairs) - idx < remaining:
-                break
-            u, v = pairs[idx]
-            outdeg[u] += 1
-            indeg[v] += 1
-            chosen_arcs.append((u, v))
-            found = dfs(idx + 1, remaining - 1)
-            chosen_arcs.pop()
-            outdeg[u] -= 1
-            indeg[v] -= 1
-            if found is not None:
-                return found
-        return None
-
-    for size in sizes:
-        found = dfs(0, size)
-        if found is not None:
-            return _finish(instance, found)
+    for size in range(instance.size_floor(), min(budget, len(pairs)) + 1):
+        for arcs in combinations(pairs, size):
+            for (u, v) in arcs:
+                outdeg[u] += 1
+                indeg[v] += 1
+            found = valid_now(indeg, outdeg)
+            for (u, v) in arcs:
+                outdeg[u] -= 1
+                indeg[v] -= 1
+            if found:
+                return _finish(instance, arcs)
     return None
 
 

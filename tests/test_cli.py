@@ -257,11 +257,28 @@ def test_oracle_mismatch_exits_2(tmp_path, monkeypatch):
     monkeypatch.setitem(
         cli._NUMBER_PROBLEMS, "nda", (solver, lambda *a: None, fields)
     )
+    solver, _, fields = cli._NUMBER_PROBLEMS["nddsc"]
+    monkeypatch.setitem(
+        cli._NUMBER_PROBLEMS, "nddsc", (solver, lambda *a: None, fields)
+    )
     graph_path = tmp_path / "instance.json"
     graph_path.write_text(emit_instance(sequence_example()))
     number_path = tmp_path / "partition.json"
     assert _run(["gen", "--partition", "1,1", "--output", str(number_path)])[0] == 0
-    for command, path in (("solve", graph_path), ("numprob", number_path)):
+    # The empty matching is a "yes" even though it has length 0.
+    empty_path = tmp_path / "empty.json"
+    empty_path.write_text(
+        emit_number_instance(
+            NumberInstance(
+                "nddsc", DegreeSequence([]), target=DegreeSequence([])
+            )
+        )
+    )
+    for command, path in (
+        ("solve", graph_path),
+        ("numprob", number_path),
+        ("numprob", empty_path),
+    ):
         code, out, err = _run([command, "--input", str(path), "--oracle"])
         assert code == 2, command
         assert err == "oracle mismatch: solver said yes, brute force said no\n"

@@ -85,6 +85,69 @@ def test_solve_bounded_on_fixtures():
     assert trivial is not None and trivial.arcs == ()
 
 
+def test_solve_bounded_survives_low_recursion_limit():
+    # The first 100 sorted pairs are the first subset of size 100 tried, so
+    # the search answers at once; a recursive search would need depth 100.
+    script = textwrap.dedent(
+        """
+        import sys
+        from arcfill import Digraph, SequenceCompletion, degree_sequence
+        from arcfill import solve_bounded
+
+        pairs = sorted((u, v) for u in range(12) for v in range(12) if u != v)
+        target = degree_sequence(Digraph(12, pairs[:100]))
+        sys.setrecursionlimit(80)
+        found = solve_bounded(SequenceCompletion(Digraph(12), target))
+        print(found is not None and list(found.arcs) == pairs[:100])
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "True\n"
+
+
+def test_search_with_size_floor_matches_bruteforce():
+    # The search starts at each problem's size floor; below the threshold
+    # it must still return the oracle's canonical minimal witness.
+    rng = random.Random(2024)
+    for build in (
+        random_list_instance,
+        random_sequence_instance,
+        random_anonymity_instance,
+    ):
+        for _ in range(300):
+            inst = build(rng, max_n=6, max_budget=4, component_cap=3)
+            s = inst.size_budget()
+            if s is not None and s > 2 * inst.degree_cap() ** 2:
+                continue
+            mine = solve(inst)
+            reference = brute_force_graph(inst)
+            assert (mine is None) == (reference is None), inst
+            if mine is not None:
+                assert mine.arcs == reference.arcs, inst
+            if reference is not None and inst.kind == "ddconc":
+                assert len(reference.arcs) >= inst.size_floor(), inst
+
+
+def test_list_vertex_without_dominating_pair_is_not_searched(monkeypatch):
+    # Vertex 0 already has outdegree 1, and its only listed pair has 0, so
+    # no insertion can satisfy it and no subset may be tried.
+    inst = ListCompletion(
+        Digraph(3, [(0, 1)]),
+        3,
+        DegreeListFunction([[(0, 0)], [(1, 0)], [(0, 0), (1, 1)]]),
+    )
+    tried = []
+    monkeypatch.setattr(search, "combinations", lambda *a: tried.append(a) or ())
+    assert search.solve_bounded(inst) is None
+    assert tried == []
+
+
 def test_sequence_large_budget_goes_through_matching_and_flow():
     # Implied budget 8 exceeds twice the squared cap (cap is 1), so the
     # degree-sequence route must fire and realization must succeed.
