@@ -198,14 +198,16 @@ def solve_nddsc(sigma: DegreeSequence, phi: DegreeSequence) -> Bijection | None:
     return Bijection(tuple(mapping))
 
 
-def _plausible_targets(
+def _plausible_moves(
     source: DegreePair,
     type_counts: list[tuple[DegreePair, int]],
     s: int,
     k: int,
     max_value: int,
-) -> list[tuple[DegreePair, int]]:
-    """Candidate outputs for ``source`` with their minimal combined cost.
+) -> list[tuple[DegreePair, int, int]]:
+    """Candidate outputs for ``source`` in ascending order, with their costs.
+
+    Each move is (output, in cost, out cost) for one tuple of the source.
 
     A candidate must dominate the source, stay within ``max_value``, cost at
     most s per component for a single tuple, and have enough affordable
@@ -226,7 +228,7 @@ def _plausible_targets(
                     if reachable >= k:
                         break
             if reachable >= k:
-                results.append((dest, (a - source.indeg) + (b - source.outdeg)))
+                results.append((dest, a - source.indeg, b - source.outdeg))
     return results
 
 
@@ -237,11 +239,15 @@ def solve_nda(
 
     Exact depth-first search over block transition counts: input blocks are
     processed in ascending type order and each block's tuples are distributed
-    over candidate output types.  Branches die on budget overruns, on opened
-    output types that no remaining block can still afford to fill up to k,
-    on suffix capacity (counted from the current item inside a block) that
-    cannot absorb the remaining budget, and on mandatory move costs (blocks
-    that can never legally stay put) exceeding the remaining budget.
+    over candidate output types in ascending order, the largest affordable
+    count first.  Branches die on budget overruns, on opened output types
+    that no remaining block can still afford to fill up to k, on suffix
+    capacity (counted from the current item inside a block) that cannot
+    absorb the remaining budget, and on mandatory move costs (blocks that
+    can never legally stay put) exceeding the remaining budget.  The search
+    is one loop over an explicit stack of (block, candidate) slots, so its
+    depth is not bound by the interpreter's recursion limit; the slots left
+    on the stack at the first hit are the witness's block plan.
     """
     if k < 1:
         raise ValueError("anonymity level must be positive")
@@ -274,120 +280,107 @@ def solve_nda(
     if suffix_in[0] < s or suffix_out[0] < s:
         return None
 
-    min_cost = []
-    candidate_cache: dict[DegreePair, list[tuple[DegreePair, int]]] = {}
-    for t in types:
-        plausible = _plausible_targets(t, type_counts, s, k, max_value)
-        if not plausible:
-            return None
-        candidate_cache[t] = plausible
-        min_cost.append(min(cost for _, cost in plausible))
+    plausible = [_plausible_moves(t, type_counts, s, k, max_value) for t in types]
+    if not all(plausible):
+        return None
     suffix_mandatory = [0] * (num_types + 1)
     for i in range(num_types - 1, -1, -1):
-        suffix_mandatory[i] = suffix_mandatory[i + 1] + counts[i] * min_cost[i]
+        min_cost = min(dc + dd for _, dc, dd in plausible[i])
+        suffix_mandatory[i] = suffix_mandatory[i + 1] + counts[i] * min_cost
 
     inflow: dict[DegreePair, int] = {}
-    chosen: dict[tuple[DegreePair, DegreePair], int] = {}
 
-    def deficits_hopeless(next_type: int, rem_in: int, rem_out: int) -> bool:
+    def enter(type_index: int, rem_in: int, rem_out: int):
+        # Checks on entering block type_index, the in-block bound having
+        # passed already.  Returns the block's affordable moves as (output
+        # type, in cost, out cost), an empty list past the last block when
+        # the budget is spent exactly, and None when the branch dies.
+        if suffix_mandatory[type_index] > rem_in + rem_out:
+            return None
         for dest, count in inflow.items():
-            if 0 < count < k:
-                feasible = any(
-                    dest.dominates(types[j])
-                    and dest.indeg - types[j].indeg <= rem_in
-                    and dest.outdeg - types[j].outdeg <= rem_out
-                    for j in range(next_type, num_types)
-                )
-                if not feasible:
-                    return True
-        return False
+            if count < k and not any(
+                dest.dominates(types[j])
+                and dest.indeg - types[j].indeg <= rem_in
+                and dest.outdeg - types[j].outdeg <= rem_out
+                for j in range(type_index, num_types)
+            ):
+                return None
+        if type_index == num_types:
+            return [] if rem_in == 0 and rem_out == 0 else None
+        moves = [
+            move
+            for move in plausible[type_index]
+            if move[1] <= rem_in and move[2] <= rem_out
+        ]
+        return moves or None
 
-    def distribute(
-        type_index: int,
-        cand_index: int,
-        items_left: int,
-        rem_in: int,
-        rem_out: int,
-        candidates: list[DegreePair],
-    ) -> bool:
-        # Zero-count assignments advance iteratively, so the recursion depth
-        # is bounded by the number of nonzero assignments, not the grid size.
+    # Each frame is one (block, candidate) slot: [type_index, moves,
+    # cand_index, count, items_left, rem_in, rem_out].  count is what the
+    # slot gives moves[cand_index] and is included in inflow; the last three
+    # are the block's state before the slot.  A fresh slot (count 0) tries
+    # the largest affordable count first; a count that drops to 0 moves the
+    # slot on to the next candidate in place.
+    moves = enter(0, s, s)
+    if moves is None:
+        return None
+    stack = [[0, moves, 0, 0, counts[0], s, s]]
+    while stack:
+        frame = stack[-1]
+        type_index, moves, cand_index, count, items_left, rem_in, rem_out = frame
+        dest, dc, dd = moves[cand_index]
+        if count:
+            inflow[dest] -= count
+            if not inflow[dest]:
+                del inflow[dest]
+            count -= 1
+        else:
+            count = items_left
+            if dc:
+                count = min(count, rem_in // dc)
+            if dd:
+                count = min(count, rem_out // dd)
+        if not count:
+            if cand_index + 1 == len(moves):
+                stack.pop()
+            else:
+                frame[2] = cand_index + 1
+                frame[3] = 0
+            continue
+        frame[3] = count
+        inflow[dest] = inflow.get(dest, 0) + count
+        items_left -= count
+        rem_in -= count * dc
+        rem_out -= count * dd
         # The block's unplaced items spend at most their cap each, so a
         # budget beyond that plus the later blocks' capacity cannot be met.
         if (
             rem_in > items_left * in_cap[type_index] + suffix_in[type_index + 1]
             or rem_out > items_left * out_cap[type_index] + suffix_out[type_index + 1]
         ):
-            return False
-        source = types[type_index]
-        while True:
-            if items_left == 0:
-                return search(type_index + 1, rem_in, rem_out)
-            if cand_index == len(candidates):
-                return False
-            dest = candidates[cand_index]
-            dc = dest.indeg - source.indeg
-            dd = dest.outdeg - source.outdeg
-            top = items_left
-            if dc:
-                top = min(top, rem_in // dc)
-            if dd:
-                top = min(top, rem_out // dd)
-            for count in range(top, 0, -1):
-                inflow[dest] = inflow.get(dest, 0) + count
-                chosen[(source, dest)] = count
-                if distribute(
-                    type_index,
-                    cand_index + 1,
-                    items_left - count,
-                    rem_in - count * dc,
-                    rem_out - count * dd,
-                    candidates,
-                ):
-                    return True
-                inflow[dest] -= count
-                if inflow[dest] == 0:
-                    del inflow[dest]
-                del chosen[(source, dest)]
-            cand_index += 1
-
-    def search(type_index: int, rem_in: int, rem_out: int) -> bool:
-        if rem_in > suffix_in[type_index] or rem_out > suffix_out[type_index]:
-            return False
-        if suffix_mandatory[type_index] > rem_in + rem_out:
-            return False
-        if deficits_hopeless(type_index, rem_in, rem_out):
-            return False
-        if type_index == num_types:
-            return rem_in == 0 and rem_out == 0
-        source = types[type_index]
-        candidates = [
-            dest
-            for dest, _ in candidate_cache[source]
-            if dest.indeg - source.indeg <= rem_in
-            and dest.outdeg - source.outdeg <= rem_out
-        ]
-        if not candidates:
-            return False
-        return distribute(
-            type_index, 0, counts[type_index], rem_in, rem_out, candidates
-        )
-
-    if not search(0, s, s):
+            continue
+        if items_left:
+            if cand_index + 1 < len(moves):
+                stack.append(
+                    [type_index, moves, cand_index + 1, 0, items_left, rem_in, rem_out]
+                )
+            continue
+        type_index += 1
+        moves = enter(type_index, rem_in, rem_out)
+        if moves == []:
+            break
+        if moves is not None:
+            stack.append([type_index, moves, 0, 0, counts[type_index], rem_in, rem_out])
+    else:
         return None
 
-    # Expand the block plan to an index-aligned output: within each input
-    # block, ascending indices take output types in ascending order.
+    # Expand the block plan to an index-aligned output.  The frames hold the
+    # nonzero counts in ascending (source, dest) order, so within each input
+    # block ascending indices take output types in ascending order.
     queues: dict[DegreePair, list[DegreePair]] = {}
-    for (source, dest), count in sorted(chosen.items()):
-        queues.setdefault(source, []).extend([dest] * count)
-    pointers = {t: 0 for t in queues}
-    target = []
-    for entry in sigma:
-        queue = queues[entry]
-        target.append(queue[pointers[entry]])
-        pointers[entry] += 1
-    result = DegreeSequence(target)
+    for type_index, moves, cand_index, count, *_ in stack:
+        queues.setdefault(types[type_index], []).extend([moves[cand_index][0]] * count)
+    outputs = {t: iter(queue) for t, queue in queues.items()}
+    result = DegreeSequence([next(outputs[entry]) for entry in sigma])
     return NumberSolution(result, demands_from_solution(sigma, result))
 
 

@@ -324,6 +324,26 @@ def test_numprob_all_problems(tmp_path):
         assert solved["decision"] == "yes"
 
 
+def test_numprob_nda_answers_on_many_distinct_types(tmp_path):
+    # 400 distinct types that are already 1-anonymous: a trivial "yes" whose
+    # block search is 400 levels deep.
+    path = tmp_path / "nda.json"
+    path.write_text(
+        emit_number_instance(
+            NumberInstance(
+                "nda",
+                DegreeSequence([(i, 0) for i in range(400)]),
+                budget=0,
+                anonymity=1,
+                max_value=399,
+            )
+        )
+    )
+    code, out, err = _run(["numprob", "--input", str(path)])
+    assert code == 0, err
+    assert "decision: yes" in out
+
+
 def test_network_dump(tmp_path):
     instance_path = tmp_path / "instance.json"
     instance_path.write_text(emit_instance(sequence_example()))

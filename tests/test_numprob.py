@@ -332,3 +332,27 @@ def test_solve_nddsc_survives_low_recursion_limit():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "True\n"
+
+
+def test_solve_nda_survives_low_recursion_limit():
+    # Thirty distinct types, each staying put: a recursive search spends a
+    # few frames per block, so it needs a depth proportional to n.
+    script = textwrap.dedent(
+        """
+        import sys
+        from arcfill import DegreeSequence, solve_nda
+
+        sequence = DegreeSequence([(i, 0) for i in range(30)])
+        sys.setrecursionlimit(80)
+        sol = solve_nda(sequence, 0, 1, 29)
+        print(sol is not None and sol.target == sequence)
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "True\n"
