@@ -5,9 +5,10 @@ raise every vertex into a per-vertex list of allowed (indegree, outdegree)
 pairs, hit an exact target degree sequence, or make the degree sequence
 k-anonymous, inserting at most a budgeted number of arcs.
 
-The pipeline combines kernelization with bounded search for small budgets
-and a degree-sequence number problem plus max-flow demand realization for
-large ones; brute-force oracles back every solver for verification.
+Small budgets are decided by trivial-no rules plus bounded search over a
+representative vertex set of the input, large ones by a degree-sequence
+number problem plus max-flow demand realization; kernels serve ``arcfill
+kernelize``, and brute-force oracles back every solver for verification.
 """
 
 from .core import (
@@ -17,7 +18,6 @@ from .core import (
     Digraph,
     DuplicateArcError,
     LoopArcError,
-    add_arcs,
     blocks,
     degree_sequence,
     is_satisfied,

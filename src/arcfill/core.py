@@ -230,11 +230,6 @@ class DegreeListFunction:
             )
         self.bound = bound
 
-    @classmethod
-    def uniform(cls, n: int, pairs: Iterable, bound: int | None = None):
-        pairs = tuple(pairs)
-        return cls([pairs] * n, bound=bound)
-
     def __len__(self) -> int:
         return len(self.lists)
 
@@ -286,18 +281,3 @@ def vertex_types(
 def is_satisfied(d: Digraph, lists: DegreeListFunction, v: int) -> bool:
     """True iff v's current degree pair is in its allowed list."""
     return d.degree(v) in lists[v]
-
-
-def add_arcs(d: Digraph, new_arcs: Iterable[Arc]) -> Digraph:
-    """Return a new digraph with the given arcs inserted; d is unmodified."""
-    additions = set()
-    for raw in new_arcs:
-        u, v = int(raw[0]), int(raw[1])
-        if u == v:
-            raise LoopArcError(f"loop arc ({u}, {v})")
-        if not (0 <= u < d.n and 0 <= v < d.n):
-            raise ValueError(f"arc ({u}, {v}) out of range for n={d.n}")
-        if (u, v) in d.arcs:
-            raise DuplicateArcError(f"arc ({u}, {v}) already present")
-        additions.add((u, v))
-    return Digraph(d.n, list(d.arcs) + sorted(additions))

@@ -163,6 +163,22 @@ def kernelize_ddconc(
     return KernelResult(KernelVerdict.REDUCED, instance, kept_map)
 
 
+def trivial_no_ddseqc(d: Digraph, target: DegreeSequence) -> TrivialNoReason | None:
+    """Cheap no-detectors for exact-sequence completion, or None."""
+    if d.max_indegree > target.max_indeg or d.max_outdegree > target.max_outdeg:
+        return TrivialNoReason.TARGET_MAX_TOO_SMALL
+    s = SequenceCompletion(d, target).implied_insertions()
+    if s is None:
+        return TrivialNoReason.INSERTION_COUNTS_INVALID
+    # Insertions move at most 2s vertices out of a block, so a block that
+    # overfills its target multiplicity by more than 2s is unfixable.
+    wanted = target.as_multiset()
+    for pair, count in degree_sequence(d).as_multiset().items():
+        if count > wanted.get(pair, 0) + 2 * s:
+            return TrivialNoReason.BLOCK_SHRINKS_TOO_MUCH
+    return None
+
+
 def kernelize_ddseqc(d: Digraph, target: DegreeSequence) -> KernelResult:
     """Kernel for exact-sequence completion.
 
@@ -173,36 +189,14 @@ def kernelize_ddseqc(d: Digraph, target: DegreeSequence) -> KernelResult:
     rewritten by dropping the degrees of deleted vertices and adding the
     dummies' degrees.
     """
-    sequence = degree_sequence(d)
-    if (
-        d.max_indegree > target.max_indeg
-        or d.max_outdegree > target.max_outdeg
-    ):
-        return KernelResult(
-            KernelVerdict.TRIVIAL_NO, None, reason=TrivialNoReason.TARGET_MAX_TOO_SMALL
-        )
+    reason = trivial_no_ddseqc(d, target)
+    if reason is not None:
+        return KernelResult(KernelVerdict.TRIVIAL_NO, None, reason=reason)
     instance = SequenceCompletion(d, target)
     s = instance.implied_insertions()
-    if s is None:
-        return KernelResult(
-            KernelVerdict.TRIVIAL_NO,
-            None,
-            reason=TrivialNoReason.INSERTION_COUNTS_INVALID,
-        )
-    # Insertions move at most 2s vertices out of a block, so a block that
-    # overfills its target multiplicity by more than 2s is unfixable.
-    target_counts = target.as_multiset()
-    current_counts = sequence.as_multiset()
-    for pair, count in sorted(current_counts.items()):
-        if count > target_counts.get(pair, 0) + 2 * s:
-            return KernelResult(
-                KernelVerdict.TRIVIAL_NO,
-                None,
-                reason=TrivialNoReason.BLOCK_SHRINKS_TOO_MUCH,
-            )
     if s == 0:
-        # The block check above forces multiset equality when nothing may
-        # be inserted.
+        # trivial_no_ddseqc's block check forces multiset equality when
+        # nothing may be inserted.
         return KernelResult(KernelVerdict.TRIVIAL_YES, None)
     chosen = compute_alpha_set(d, None, quota(s, d.max_degree))
     if len(chosen) == d.n:
@@ -243,6 +237,26 @@ def kernelize_ddseqc(d: Digraph, target: DegreeSequence) -> KernelResult:
     )
 
 
+def _dda_reduces(d: Digraph, s: int) -> bool:
+    """True when ``kernelize_dda`` shrinks d at budget s."""
+    delta = d.max_degree
+    return s > 0 and d.n > (delta + 1) ** 2 * ((delta + 2) * 2 * s + 2 * s)
+
+
+def trivial_no_dda(d: Digraph, k: int, s: int) -> TrivialNoReason | None:
+    """Cheap no-detectors for anonymous completion, or None."""
+    if s == 0 and not degree_sequence(d).is_k_anonymous(k):
+        return TrivialNoReason.NOT_ANONYMOUS_WITHOUT_BUDGET
+    # s arcs move at most 2s vertices into or out of a block, so one sized
+    # strictly between 2s and k - 2s is unfixable.  Checked only where
+    # kernelize_dda reduces, so that its verdicts stay as they were.
+    if _dda_reduces(d, s) and any(
+        2 * s < len(members) < k - 2 * s for members in blocks(d).values()
+    ):
+        return TrivialNoReason.BLOCK_SIZE_GAP
+    return None
+
+
 def kernelize_dda(d: Digraph, k: int, s: int) -> KernelResult:
     """Kernel for anonymous completion, parameterized by budget and degree.
 
@@ -258,32 +272,24 @@ def kernelize_dda(d: Digraph, k: int, s: int) -> KernelResult:
         raise ValueError("anonymity level must be positive")
     if s < 0:
         raise ValueError("budget must be nonnegative")
-    sequence = degree_sequence(d)
+    reason = trivial_no_dda(d, k, s)
+    if reason is not None:
+        return KernelResult(KernelVerdict.TRIVIAL_NO, None, reason=reason)
     if s == 0:
-        # No insertions allowed: the answer is already decided.
-        if sequence.is_k_anonymous(k):
-            return KernelResult(KernelVerdict.TRIVIAL_YES, None)
-        return KernelResult(
-            KernelVerdict.TRIVIAL_NO,
-            None,
-            reason=TrivialNoReason.NOT_ANONYMOUS_WITHOUT_BUDGET,
-        )
-    delta = d.max_degree
-    beta = (delta + 2) * 2 * s
-    if d.n <= (delta + 1) * (delta + 1) * (beta + 2 * s):
+        # trivial_no_dda found the digraph k-anonymous already.
+        return KernelResult(KernelVerdict.TRIVIAL_YES, None)
+    if not _dda_reduces(d, s):
         instance = AnonymityCompletion(d, k, s)
         return KernelResult(
             KernelVerdict.UNCHANGED, instance, {v: v for v in range(d.n)}
         )
+    delta = d.max_degree
+    beta = (delta + 2) * 2 * s
     k_new = min(k, beta)
     chosen: list[int] = []
     for _, members in sorted(blocks(d).items()):
         block = sorted(members)
         size = len(block)
-        if 2 * s < size < k - 2 * s:
-            return KernelResult(
-                KernelVerdict.TRIVIAL_NO, None, reason=TrivialNoReason.BLOCK_SIZE_GAP
-            )
         if k <= beta:
             keep = min(size, beta + 2 * s)
         elif size <= 2 * s:

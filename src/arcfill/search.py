@@ -1,9 +1,10 @@
 """Bounded exhaustive search and the full two-stage solving pipeline.
 
-Small budgets are handled by kernelizing and exhaustively trying arc sets
-inside a representative vertex set.  Budgets larger than twice the squared
-degree cap of any solution are handled on the degree sequence alone: a
-number-problem solver proposes per-vertex increments, which a max-flow
+Small budgets are handled by the kernelizers' trivial-no rules and then by
+exhaustively trying arc sets inside a representative vertex set of the input
+itself, with no kernel instance and no lift.  Budgets larger than twice the
+squared degree cap of any solution are handled on the degree sequence alone:
+a number-problem solver proposes per-vertex increments, which a max-flow
 realization is then guaranteed to install as concrete arcs.
 """
 
@@ -16,14 +17,17 @@ from .core import DegreeSequence, degree_sequence
 from .flow import DemandVector, realize_demands
 from .kernel import (
     KernelResult,
-    KernelVerdict,
     compute_alpha_set,
     kernelize_dda,
     kernelize_ddconc,
     kernelize_ddseqc,
-    lift_solution,
     quota,
+    reduce_trivial_no,
+    trivial_no_dda,
+    trivial_no_ddseqc,
 )
+# Not called here: the benchmark tracer (bench/spans.py) wraps it by name.
+from .kernel import lift_solution  # noqa: F401
 from .numprob import demands_from_solution, solve_nda, solve_nddcc, solve_nddsc
 from .problems import ProblemInstance
 
@@ -94,9 +98,7 @@ def _finish(instance: ProblemInstance, arcs) -> Solution:
     return Solution(tuple(arcs), cert)
 
 
-def solve_bounded(
-    instance: ProblemInstance, restrict_to: set[int] | None = None
-) -> Solution | None:
+def solve_bounded(instance: ProblemInstance) -> Solution | None:
     """Exhaustive search over arc sets inside a representative vertex set.
 
     Candidate arcs are the insertable pairs within the representative set,
@@ -110,11 +112,15 @@ def solve_bounded(
     budget = instance.size_budget()
     if budget is None:
         return None
-    chosen = compute_alpha_set(
-        d, instance.lists, quota(budget, d.max_degree), instance.degree_cap()
-    )
-    if restrict_to is not None:
-        chosen &= restrict_to
+    # No vertex gains more than the budget on either side, so types above it
+    # lie in no solution and need no representatives.
+    cap = min(instance.degree_cap(), budget)
+    chosen = compute_alpha_set(d, instance.lists, quota(budget, d.max_degree), cap)
+    # The quota's swap argument counts only arcs between chosen vertices, so
+    # the max degree inside the set sizes a quota that keeps the first hit.
+    inner = d.induced(chosen).max_degree
+    if inner < d.max_degree:
+        chosen = compute_alpha_set(d, instance.lists, quota(budget, inner), cap)
     pairs = sorted(
         (u, v)
         for u in chosen
@@ -160,45 +166,52 @@ def _anonymous_demands(work, sequence, low, high, cap) -> DemandVector | None:
 
 
 # Per problem: the number step (instance, degree sequence, low, high, cap) ->
-# demands at the smallest feasible budget in low..high, or None; and the
-# kernel step (instance, cap) -> KernelResult.  Both look the solvers up as
-# module globals at call time.
+# demands at the smallest feasible budget in low..high, or None; the
+# trivial-no step (instance, cap) -> TrivialNoReason or None; and the kernel
+# step (instance, cap) -> KernelResult, used only by ``kernelize``.  All look
+# the solvers up as module globals at call time.
 _STEPS = {
     "ddconc": (
         _listed_demands,
+        lambda work, cap: reduce_trivial_no(
+            work.digraph, work.budget, work.allowed, cap
+        ),
         lambda work, cap: kernelize_ddconc(
             work.digraph, work.budget, work.allowed, cap
         ),
     ),
     "ddseqc": (
         _matched_demands,
+        lambda work, cap: trivial_no_ddseqc(work.digraph, work.target),
         lambda work, cap: kernelize_ddseqc(work.digraph, work.target),
     ),
     "dda": (
         _anonymous_demands,
+        lambda work, cap: trivial_no_dda(work.digraph, work.anonymity, work.budget),
         lambda work, cap: kernelize_dda(work.digraph, work.anonymity, work.budget),
     ),
 }
 
 
 def kernelize(instance: ProblemInstance) -> KernelResult:
-    """The pipeline's kernel step, applied to an instance at its own budget."""
-    return _STEPS[instance.kind][1](instance, instance.degree_cap())
+    """The kernel of an instance at its own budget (``arcfill kernelize``)."""
+    return _STEPS[instance.kind][2](instance, instance.degree_cap())
 
 
 def solve(instance: ProblemInstance) -> Solution | None:
     """Exact decision and witness for any of the three completion problems.
 
     Large budgets go through the degree-sequence route (number problem plus
-    flow realization), small budgets through kernelization plus bounded
-    search.  Every returned solution re-verifies against the original
-    instance; identical inputs produce identical solutions.
+    flow realization), small budgets through the trivial-no rules plus
+    bounded search on the input.  Every returned solution re-verifies
+    against the original instance; identical inputs produce identical
+    solutions.
     """
     work = instance.at_budget(instance.size_budget())
     if work is None:
         return None
     d = instance.digraph
-    number_step, kernel_step = _STEPS[instance.kind]
+    number_step, trivial_no, _ = _STEPS[instance.kind]
     s = work.size_budget()
     while True:
         cap = work.degree_cap()
@@ -214,12 +227,9 @@ def solve(instance: ProblemInstance) -> Solution | None:
             return None
         s = threshold
         work = work.at_budget(s)
-    result = kernel_step(work, cap)
-    if result.verdict is KernelVerdict.TRIVIAL_NO:
+    if trivial_no(work, cap) is not None:
         return None
-    if result.verdict is KernelVerdict.TRIVIAL_YES:
-        return _finish(instance, ())
-    inner = solve_bounded(result.instance, restrict_to=set(result.kept))
+    inner = solve_bounded(work)
     if inner is None:
         return None
-    return _finish(instance, lift_solution(result, inner.arcs))
+    return _finish(instance, inner.arcs)

@@ -9,9 +9,31 @@ from arcfill import (
     DegreeListFunction,
     DegreeSequence,
     Digraph,
+    DuplicateArcError,
     ListCompletion,
+    LoopArcError,
     SequenceCompletion,
 )
+
+
+def add_arcs(d: Digraph, new_arcs) -> Digraph:
+    """Return a new digraph with the given arcs inserted; d is unmodified."""
+    additions = set()
+    for raw in new_arcs:
+        u, v = int(raw[0]), int(raw[1])
+        if u == v:
+            raise LoopArcError(f"loop arc ({u}, {v})")
+        if not (0 <= u < d.n and 0 <= v < d.n):
+            raise ValueError(f"arc ({u}, {v}) out of range for n={d.n}")
+        if (u, v) in d.arcs:
+            raise DuplicateArcError(f"arc ({u}, {v}) already present")
+        additions.add((u, v))
+    return Digraph(d.n, list(d.arcs) + sorted(additions))
+
+
+def uniform_lists(n: int, pairs, bound: int | None = None) -> DegreeListFunction:
+    """The same allowed degree pairs at every one of n vertices."""
+    return DegreeListFunction([tuple(pairs)] * n, bound=bound)
 
 
 def sequence_example() -> SequenceCompletion:

@@ -18,7 +18,6 @@ from arcfill import (
     DegreeListFunction,
     DegreeSequence,
     Digraph,
-    add_arcs,
     brute_force_graph,
     brute_force_nda,
     brute_force_nddcc,
@@ -42,6 +41,7 @@ from arcfill.oracle import apply_demands
 from arcfill.search import Solution
 from arcfill.cli import emit_instance, emit_solution, run
 from conftest import (
+    add_arcs,
     anonymity_example,
     bounded_digraph,
     list_example_no,
@@ -394,8 +394,7 @@ def test_criterion_09_lift_back_and_cli_verification(tmp_path):
         else:
             result = kernelize_dda(inst.digraph, inst.anonymity, inst.budget)
         if result.verdict in (KernelVerdict.REDUCED, KernelVerdict.UNCHANGED):
-            restrict = set(result.kept) if result.added or inst.kind != "ddconc" else None
-            inner = solve_bounded(result.instance, restrict_to=restrict)
+            inner = solve_bounded(result.instance)
             assert inner is not None
             lifted = lift_solution(result, inner.arcs)
             assert verify_solution(inst, Solution(tuple(lifted), {}))

@@ -11,13 +11,12 @@ from arcfill import (
     Digraph,
     DuplicateArcError,
     LoopArcError,
-    add_arcs,
     blocks,
     degree_sequence,
     is_satisfied,
     vertex_types,
 )
-from conftest import sequence_example
+from conftest import add_arcs, sequence_example
 
 
 @st.composite

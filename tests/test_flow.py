@@ -13,7 +13,6 @@ from arcfill import (
     FlowNetwork,
     PreconditionViolatedError,
     UnbalancedDemandsError,
-    add_arcs,
     build_network,
     degree_sequence,
     max_flow,
@@ -21,7 +20,7 @@ from arcfill import (
     try_realize_demands,
 )
 from arcfill.oracle import apply_demands
-from conftest import bounded_digraph, realization_case, sequence_example
+from conftest import add_arcs, bounded_digraph, realization_case, sequence_example
 
 
 def test_demand_vector_validation():

@@ -38,6 +38,7 @@ from conftest import (
     random_list_instance,
     random_sequence_instance,
     sequence_example,
+    uniform_lists,
 )
 
 
@@ -68,7 +69,7 @@ def _cases():
             DegreeListFunction([[(0, 1)], [(1, 0)]] + [[(0, 0), (1, 0)]] * 8),
         ),
         "ddconc-number-flow": ListCompletion(
-            Digraph(8), 3, DegreeListFunction.uniform(8, [(0, 0), (1, 1)])
+            Digraph(8), 3, uniform_lists(8, [(0, 0), (1, 1)])
         ),
         "ddconc-fixture-yes": list_example_yes(),
         "ddconc-fixture-no": list_example_no(),

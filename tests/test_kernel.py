@@ -30,6 +30,7 @@ from conftest import (
     random_anonymity_instance,
     random_list_instance,
     random_sequence_instance,
+    uniform_lists,
 )
 
 
@@ -41,7 +42,7 @@ def test_alpha_set_satisfied_vertex_without_types_is_dropped():
 
 def test_alpha_set_takes_lowest_indices_up_to_quota():
     d = Digraph(3)
-    lists = DegreeListFunction.uniform(3, [(0, 0), (1, 0)])
+    lists = uniform_lists(3, [(0, 0), (1, 0)])
     assert compute_alpha_set(d, lists, 2, cap=1) == {0, 1}
 
 
@@ -65,9 +66,9 @@ def test_alpha_set_block_quota_is_exact():
 
 def test_reduce_trivial_no():
     d = Digraph(3)
-    happy = DegreeListFunction.uniform(3, [(0, 0)])
+    happy = uniform_lists(3, [(0, 0)])
     assert reduce_trivial_no(d, 1, happy, 2) is None
-    sad = DegreeListFunction.uniform(3, [(1, 1)])
+    sad = uniform_lists(3, [(1, 1)])
     assert (
         reduce_trivial_no(d, 1, sad, 2)
         is TrivialNoReason.TOO_MANY_UNSATISFIED
@@ -99,7 +100,7 @@ def test_kernelize_ddconc_unchanged_when_everything_kept():
     assert result.verdict is KernelVerdict.REDUCED
     assert sorted(result.kept.values()) == [1, 2]
     tiny = ListCompletion(
-        Digraph(2), 1, DegreeListFunction.uniform(2, [(0, 0), (0, 1), (1, 0)])
+        Digraph(2), 1, uniform_lists(2, [(0, 0), (0, 1), (1, 0)])
     )
     unchanged = kernelize_ddconc(
         tiny.digraph, tiny.budget, tiny.allowed, tiny.degree_cap()

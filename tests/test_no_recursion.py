@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-SOLVER_MODULES = ("search", "numprob", "flow")
+SOLVER_MODULES = ("search", "numprob", "flow", "kernel", "problems", "core")
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "arcfill"
 
 

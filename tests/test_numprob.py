@@ -25,6 +25,7 @@ from arcfill import (
     solve_nddsc,
 )
 from arcfill.oracle import satisfies_nda, satisfies_nddcc, satisfies_nddsc
+from conftest import uniform_lists
 
 
 def test_solve_nddcc_forced_unique_target():
@@ -39,7 +40,7 @@ def test_solve_nddcc_no_allowed_move():
 
 
 def test_solve_nddcc_splits_budget_across_entries():
-    lists = DegreeListFunction.uniform(2, [(0, 0), (1, 0), (0, 1)])
+    lists = uniform_lists(2, [(0, 0), (1, 0), (0, 1)])
     sol = solve_nddcc(DegreeSequence([(0, 0), (0, 0)]), 1, lists)
     assert sol is not None
     assert sorted(tuple(p) for p in sol.target) == [(0, 1), (1, 0)]

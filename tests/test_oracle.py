@@ -13,7 +13,7 @@ from arcfill import (
     verify_solution,
 )
 from arcfill.oracle import satisfies_nda, satisfies_nddcc, satisfies_nddsc
-from conftest import anonymity_example, list_example_no, sequence_example
+from conftest import anonymity_example, list_example_no, sequence_example, uniform_lists
 
 
 def test_graph_oracle_fixture_answers():
@@ -49,7 +49,7 @@ def test_number_oracle_nddcc():
     assert brute_force_nddcc(sigma, 1, DegreeListFunction([[(1, 1)]])) is not None
     assert brute_force_nddcc(sigma, 2, DegreeListFunction([[(1, 1)]])) is None
     pair = DegreeSequence([(0, 0), (0, 0)])
-    lists = DegreeListFunction.uniform(2, [(0, 0), (1, 0), (0, 1)])
+    lists = uniform_lists(2, [(0, 0), (1, 0), (0, 1)])
     found = brute_force_nddcc(pair, 1, lists)
     assert found is not None and satisfies_nddcc(pair, 1, lists, found)
 
@@ -80,7 +80,7 @@ def test_number_oracle_nda():
 def test_number_oracle_guards():
     big = DegreeSequence([(0, 0)] * 9)
     with pytest.raises(InstanceTooLargeError):
-        brute_force_nddcc(big, 1, DegreeListFunction.uniform(9, [(0, 0)]))
+        brute_force_nddcc(big, 1, uniform_lists(9, [(0, 0)]))
     with pytest.raises(InstanceTooLargeError):
         brute_force_nddsc(big, big)
     with pytest.raises(InstanceTooLargeError):

@@ -13,7 +13,6 @@ from arcfill import (
     Digraph,
     ListCompletion,
     SequenceCompletion,
-    add_arcs,
     brute_force_graph,
     dda_delta_star_cap,
     degree_sequence,
@@ -24,6 +23,7 @@ from arcfill import (
 from arcfill import search
 from arcfill.search import Solution
 from conftest import (
+    add_arcs,
     anonymity_example,
     list_example_no,
     list_example_yes,
@@ -31,6 +31,7 @@ from conftest import (
     random_list_instance,
     random_sequence_instance,
     sequence_example,
+    uniform_lists,
 )
 
 
@@ -158,7 +159,7 @@ def test_sequence_large_budget_goes_through_matching_and_flow():
 
 
 def test_list_large_budget_goes_through_dp_and_flow():
-    inst = ListCompletion(Digraph(10), 12, DegreeListFunction.uniform(10, [(1, 1)]))
+    inst = ListCompletion(Digraph(10), 12, uniform_lists(10, [(1, 1)]))
     solution = solve(inst)
     assert solution is not None and len(solution.arcs) == 10
     assert verify_solution(inst, solution)
@@ -174,7 +175,7 @@ def test_list_large_budget_runs_one_dp_pass(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(search, "solve_nddcc", counted)
-    inst = ListCompletion(Digraph(10), 12, DegreeListFunction.uniform(10, [(1, 1)]))
+    inst = ListCompletion(Digraph(10), 12, uniform_lists(10, [(1, 1)]))
     assert solve(inst) is not None
     assert len(calls) == 1
 
@@ -183,7 +184,7 @@ def test_list_large_budget_exact_totals():
     # Reaching (2, 2) everywhere costs exactly 20 arcs: budget 20 goes
     # through the number route, budget 12 correctly fails every trial
     # budget and the shrunken bounded search settles the no.
-    lists = DegreeListFunction.uniform(10, [(2, 2)])
+    lists = uniform_lists(10, [(2, 2)])
     feasible = ListCompletion(Digraph(10), 20, lists)
     solution = solve(feasible)
     assert solution is not None and len(solution.arcs) == 20
@@ -195,7 +196,7 @@ def test_list_unrealizable_pairs_are_ignored():
     # (3, 3) cannot exist on three vertices; the clamp must not block the
     # remaining achievable pair.
     inst = ListCompletion(
-        Digraph(3), 9, DegreeListFunction.uniform(3, [(2, 2), (3, 3)])
+        Digraph(3), 9, uniform_lists(3, [(2, 2), (3, 3)])
     )
     got = solve(inst)
     assert got is not None and len(got.arcs) == 6  # complete digraph on 3
