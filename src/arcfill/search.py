@@ -105,8 +105,8 @@ def solve_bounded(instance: ProblemInstance) -> Solution | None:
     sorted by (tail, head).  ``itertools.combinations`` yields their subsets
     by increasing cardinality, starting at the problem's ``size_floor()``,
     and then lexicographic rank, so the first valid hit is the canonical
-    minimal solution.  Intended for budgets already reduced below twice the
-    squared degree cap.
+    minimal solution.  ``solve`` runs it on the input itself, once the
+    budget is at most twice the squared degree cap.
     """
     d = instance.digraph
     budget = instance.size_budget()

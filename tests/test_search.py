@@ -149,6 +149,38 @@ def test_list_vertex_without_dominating_pair_is_not_searched(monkeypatch):
     assert tried == []
 
 
+def test_list_type_above_the_budget_needs_no_representative(monkeypatch):
+    # Vertex 2 is satisfied, and its one other listed pair needs two more
+    # out-arcs, more than the budget of 1 allows; vertex 3 is the one
+    # unsatisfied vertex, so no pair is left to search.
+    inst = ListCompletion(
+        Digraph(4, [(0, 1)]),
+        1,
+        DegreeListFunction([[(0, 1)], [(1, 0)], [(0, 0), (0, 2)], [(1, 0)]]),
+    )
+    tried = []
+    monkeypatch.setattr(search, "combinations", lambda *a: tried.append(a) or ())
+    assert search.solve_bounded(inst) is None
+    assert tried == []
+
+
+def test_anonymity_quota_uses_the_max_degree_inside_the_set(monkeypatch):
+    # Tails 0..7 point at heads 23..16 and 8..15 are isolated.  At budget 1
+    # the first set keeps 4 vertices per degree block and no arc joins two
+    # of them, so the quota drops to 2 per block: 6 vertices, 30 pairs.
+    d = Digraph(24, [(i, 23 - i) for i in range(8)])
+    sizes = []
+    subsets = search.combinations
+
+    def counting(pairs, size):
+        sizes.append(len(pairs))
+        return subsets(pairs, size)
+
+    monkeypatch.setattr(search, "combinations", counting)
+    assert search.solve_bounded(AnonymityCompletion(d, 9, 1)) is None
+    assert sizes == [30, 30]
+
+
 def test_sequence_large_budget_goes_through_matching_and_flow():
     # Implied budget 8 exceeds twice the squared cap (cap is 1), so the
     # degree-sequence route must fire and realization must succeed.
