@@ -16,7 +16,6 @@ from .core import (
     DegreePair,
     DegreeSequence,
     Digraph,
-    DuplicateArcError,
     LoopArcError,
     blocks,
     degree_sequence,

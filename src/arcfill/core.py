@@ -17,10 +17,6 @@ class LoopArcError(ValueError):
     """An arc (v, v) was supplied; loops are not allowed."""
 
 
-class DuplicateArcError(ValueError):
-    """An arc to insert is already present; multiarcs are not allowed."""
-
-
 class DegreePair(NamedTuple):
     """An (indegree, outdegree) pair with componentwise arithmetic."""
 

@@ -36,6 +36,11 @@ class _Problem:
     digraph.  It is always clamped to n - 1, since no simple digraph on n
     vertices can exceed it; this keeps demand realization applicable whenever
     the cap is beaten by the budget.
+
+    For ddconc and dda the cap is min(budget-free term, max_degree + s, n - 1),
+    so lowering a budget s > 2 * cap**2 to min(2 * cap**2, free pairs) keeps
+    it: 2 * cap**2 >= cap, and max_degree + free pairs >= n - 1, as every
+    vertex misses n - 1 - max_degree out-arcs or more.
     """
 
     exact_size = False  # True when the budget fixes the size, not bounds it

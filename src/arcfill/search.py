@@ -201,11 +201,12 @@ def kernelize(instance: ProblemInstance) -> KernelResult:
 def solve(instance: ProblemInstance) -> Solution | None:
     """Exact decision and witness for any of the three completion problems.
 
-    Large budgets go through the degree-sequence route (number problem plus
-    flow realization), small budgets through the trivial-no rules plus
-    bounded search on the input.  Every returned solution re-verifies
-    against the original instance; identical inputs produce identical
-    solutions.
+    A budget above twice the squared degree cap gets one try on the
+    degree-sequence route (number problem plus flow realization).  Failing
+    that, a forced size is a no, and any other budget drops to the threshold,
+    where the trivial-no rules and bounded search on the input decide.  Every
+    returned solution re-verifies against the original instance; identical
+    inputs produce identical solutions.
     """
     work = instance.at_budget(instance.size_budget())
     if work is None:
@@ -213,20 +214,17 @@ def solve(instance: ProblemInstance) -> Solution | None:
     d = instance.digraph
     number_step, trivial_no, _ = _STEPS[instance.kind]
     s = work.size_budget()
-    while True:
-        cap = work.degree_cap()
-        threshold = 2 * cap * cap
-        if s <= threshold:
-            break
-        low = s if work.exact_size else threshold + 1
-        demands = number_step(work, degree_sequence(d), low, s, cap)
+    cap = work.degree_cap()
+    threshold = 2 * cap * cap
+    if s > threshold:
+        demands = number_step(work, degree_sequence(d), threshold + 1, s, cap)
         if demands is not None:
             return _finish(instance, realize_demands(d, demands, cap))
         if work.exact_size:
             # The size is forced, so no smaller budget is left to try.
             return None
-        s = threshold
-        work = work.at_budget(s)
+        # Lowering the budget to the threshold keeps the cap (see _Problem).
+        work = work.at_budget(threshold)
     if trivial_no(work, cap) is not None:
         return None
     inner = solve_bounded(work)

@@ -9,7 +9,6 @@ from arcfill import (
     DegreeListFunction,
     DegreeSequence,
     Digraph,
-    DuplicateArcError,
     ListCompletion,
     LoopArcError,
     SequenceCompletion,
@@ -26,7 +25,7 @@ def add_arcs(d: Digraph, new_arcs) -> Digraph:
         if not (0 <= u < d.n and 0 <= v < d.n):
             raise ValueError(f"arc ({u}, {v}) out of range for n={d.n}")
         if (u, v) in d.arcs:
-            raise DuplicateArcError(f"arc ({u}, {v}) already present")
+            raise ValueError(f"arc ({u}, {v}) already present")
         additions.add((u, v))
     return Digraph(d.n, list(d.arcs) + sorted(additions))
 

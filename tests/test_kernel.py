@@ -20,6 +20,7 @@ from arcfill import (
     kernelize_ddseqc,
     lift_solution,
     reduce_trivial_no,
+    solve,
     verify_solution,
 )
 from arcfill.search import Solution
@@ -173,6 +174,18 @@ def test_kernelize_ddseqc_trivial_cases():
     assert too_low.reason is TrivialNoReason.TARGET_MAX_TOO_SMALL
     unbalanced = kernelize_ddseqc(d, DegreeSequence([(0, 1), (2, 0), (0, 0)]))
     assert unbalanced.verdict is KernelVerdict.TRIVIAL_NO
+
+
+def test_kernelize_ddseqc_block_shrinks_too_much():
+    # Three (1, 1) vertices but no (1, 1) target entry, and the target forces
+    # zero insertions, so no vertex can leave the block.
+    d = Digraph(6, [(0, 1), (1, 2), (2, 0)])
+    inst = SequenceCompletion(d, DegreeSequence([(2, 1), (1, 2)] + [(0, 0)] * 4))
+    result = kernelize_ddseqc(inst.digraph, inst.target)
+    assert result.verdict is KernelVerdict.TRIVIAL_NO
+    assert result.reason is TrivialNoReason.BLOCK_SHRINKS_TOO_MUCH
+    assert solve(inst) is None
+    assert brute_force_graph(inst) is None
 
 
 def test_kernelize_ddseqc_dummy_separation():
@@ -370,3 +383,16 @@ def test_lift_solution_paths():
     dummy = min(reduced.added)
     with pytest.raises(SolutionTouchesAddedVertexError):
         lift_solution(reduced, [(0, dummy)])
+
+
+def test_lift_solution_on_trivial_verdicts():
+    d = Digraph(7, [(0, 1), (1, 0), (2, 3), (3, 2), (5, 4), (6, 5)])
+    trivial_yes = kernelize_dda(d, 1, 0)
+    assert trivial_yes.verdict is KernelVerdict.TRIVIAL_YES
+    assert lift_solution(trivial_yes, []) == set()
+    with pytest.raises(ValueError, match="empty solution"):
+        lift_solution(trivial_yes, [(0, 2)])
+    trivial_no = kernelize_dda(d, 2, 0)
+    assert trivial_no.verdict is KernelVerdict.TRIVIAL_NO
+    with pytest.raises(ValueError, match="no solutions to lift"):
+        lift_solution(trivial_no, [])

@@ -97,19 +97,19 @@ FAMILIES = {
         _listed,
         100,
         "eaae6197dbd90abd9b271b973b61a52255b689b13259d42a16020ee4b3b926b2",
-        30568,
+        30503,
     ),
     "dda": (
         _anonymous,
         100,
         "47c88f592429b380ba03f993bb3d1a7a3534a3ceac32a9a41c4203e695e7ef42",
-        112984,
+        33325,
     ),
     "ddseqc": (
         _sequence,
         50,
         "778945aff33ef008a1edd4a63a964d216bd8ac0fd8aa1c12802bae1acffa621c",
-        149093,
+        149083,
     ),
 }
 

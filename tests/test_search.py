@@ -21,6 +21,7 @@ from arcfill import (
     verify_solution,
 )
 from arcfill import search
+from arcfill.cli import generate_instance
 from arcfill.search import Solution
 from conftest import (
     add_arcs,
@@ -190,6 +191,29 @@ def test_sequence_large_budget_goes_through_matching_and_flow():
     assert verify_solution(inst, solution)
 
 
+def test_sequence_large_budget_matching_no_skips_the_search(monkeypatch):
+    # Implied budget 9 exceeds 2 * 2**2.  Vertices 0 and 3 have outdegree 2,
+    # but only one target entry does, so the matching fails, and with the
+    # size forced there is nothing left to search.
+    matchings = []
+    original = search.solve_nddsc
+
+    def matched(*args):
+        matchings.append(original(*args))
+        return matchings[-1]
+
+    def searched(instance):
+        raise AssertionError("solve_bounded must not run")
+
+    monkeypatch.setattr(search, "solve_nddsc", matched)
+    monkeypatch.setattr(search, "solve_bounded", searched)
+    d = Digraph(12, [(0, 1), (0, 2), (3, 4), (3, 5)])
+    inst = SequenceCompletion(d, DegreeSequence([(2, 2)] + [(1, 1)] * 11))
+    assert inst.implied_insertions() == 9 and inst.degree_cap() == 2
+    assert solve(inst) is None
+    assert matchings == [None]
+
+
 def test_list_large_budget_goes_through_dp_and_flow():
     inst = ListCompletion(Digraph(10), 12, uniform_lists(10, [(1, 1)]))
     solution = solve(inst)
@@ -241,6 +265,59 @@ def test_anonymity_large_budget_loop_settles():
     inst = AnonymityCompletion(Digraph(24), 1, 513)
     solution = solve(inst)
     assert solution is not None and solution.arcs == ()
+
+
+def _above_threshold_draws(count: int):
+    """Seeded ddconc and dda draws whose budget exceeds 2 * cap**2."""
+    found = []
+    for seed in range(10 * count):
+        rng = random.Random(seed)
+        kind = ("ddconc", "dda")[seed % 2]
+        if kind == "dda":
+            # The dda cap is at least 16, so only large, sparse inputs with
+            # budgets in the hundreds or thousands get above the threshold.
+            n, density, budget = rng.randint(18, 60), rng.choice([0, 0.002]), 4000
+        else:
+            n, density, budget = rng.randint(2, 30), rng.random() * 0.3, 600
+        inst = generate_instance(
+            kind, rng, n, density, rng.randint(0, budget), anonymity=rng.randint(1, 2)
+        )
+        work = inst.at_budget(inst.size_budget())
+        cap = work.degree_cap()
+        if work.size_budget() > 2 * cap * cap:
+            found.append((inst, cap))
+            if len(found) == count:
+                return found
+    raise AssertionError(f"only {len(found)} above-threshold draws")
+
+
+def test_number_route_runs_once_and_keeps_the_cap(monkeypatch):
+    # solve tries the number route once; if it fails, the search runs at a
+    # budget of at most 2 * cap**2 with the same cap.  The search is stubbed out, since
+    # at that budget it can take minutes.
+    numbered = []
+    searched = []
+    for kind, (number_step, trivial_no, kernel_step) in list(search._STEPS.items()):
+
+        def counted(work, *args, number_step=number_step):
+            numbered.append(work.kind)
+            return number_step(work, *args)
+
+        monkeypatch.setitem(search._STEPS, kind, (counted, trivial_no, kernel_step))
+    monkeypatch.setattr(search, "solve_bounded", lambda work: searched.append(work))
+    draws = _above_threshold_draws(160)
+    kinds = Counter(inst.kind for inst, _ in draws)
+    assert kinds["ddconc"] >= 100 and kinds["dda"] >= 20
+    for inst, cap in draws:
+        threshold = 2 * cap * cap
+        assert inst.at_budget(threshold).degree_cap() == cap
+        numbered.clear()
+        searched.clear()
+        solve(inst)
+        assert numbered == [inst.kind]
+        for work in searched:
+            assert work.size_budget() <= threshold
+            assert work.degree_cap() == cap
 
 
 def test_monotone_in_budget():
