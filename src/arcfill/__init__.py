@@ -5,10 +5,11 @@ raise every vertex into a per-vertex list of allowed (indegree, outdegree)
 pairs, hit an exact target degree sequence, or make the degree sequence
 k-anonymous, inserting at most a budgeted number of arcs.
 
-Small budgets are decided by trivial-no rules plus bounded search over a
-representative vertex set of the input, large ones by a degree-sequence
-number problem plus max-flow demand realization; kernels serve ``arcfill
-kernelize``, and brute-force oracles back every solver for verification.
+Small budgets are decided by bounded search over a representative vertex set
+of the input, from a per-problem size floor up, large ones by a
+degree-sequence number problem plus max-flow demand realization; kernels and
+their trivial-no rules serve ``arcfill kernelize``, and brute-force oracles
+back every solver for verification.
 """
 
 from .core import (

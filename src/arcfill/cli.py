@@ -364,6 +364,10 @@ def generate_instance(
     sequence targets come from actually inserting up to ``budget`` random
     arcs, so they are realizable reasonably often.
     """
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
+    if slack < 0:
+        raise ValueError("slack must be nonnegative")
     digraph = random_digraph(rng, n, density)
     if problem == "ddconc":
         lists = []

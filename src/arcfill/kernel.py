@@ -20,7 +20,6 @@ from .core import (
     DegreeSequence,
     Digraph,
     blocks,
-    degree_sequence,
     is_satisfied,
     vertex_types,
 )
@@ -163,22 +162,6 @@ def kernelize_ddconc(
     return KernelResult(KernelVerdict.REDUCED, instance, kept_map)
 
 
-def trivial_no_ddseqc(d: Digraph, target: DegreeSequence) -> TrivialNoReason | None:
-    """Cheap no-detectors for exact-sequence completion, or None."""
-    if d.max_indegree > target.max_indeg or d.max_outdegree > target.max_outdeg:
-        return TrivialNoReason.TARGET_MAX_TOO_SMALL
-    s = SequenceCompletion(d, target).implied_insertions()
-    if s is None:
-        return TrivialNoReason.INSERTION_COUNTS_INVALID
-    # Insertions move at most 2s vertices out of a block, so a block that
-    # overfills its target multiplicity by more than 2s is unfixable.
-    wanted = target.as_multiset()
-    for pair, count in degree_sequence(d).as_multiset().items():
-        if count > wanted.get(pair, 0) + 2 * s:
-            return TrivialNoReason.BLOCK_SHRINKS_TOO_MUCH
-    return None
-
-
 def kernelize_ddseqc(d: Digraph, target: DegreeSequence) -> KernelResult:
     """Kernel for exact-sequence completion.
 
@@ -189,14 +172,20 @@ def kernelize_ddseqc(d: Digraph, target: DegreeSequence) -> KernelResult:
     rewritten by dropping the degrees of deleted vertices and adding the
     dummies' degrees.
     """
-    reason = trivial_no_ddseqc(d, target)
-    if reason is not None:
-        return KernelResult(KernelVerdict.TRIVIAL_NO, None, reason=reason)
     instance = SequenceCompletion(d, target)
     s = instance.implied_insertions()
+    if s is None or instance.size_floor() > s:
+        if d.max_indegree > target.max_indeg or d.max_outdegree > target.max_outdeg:
+            reason = TrivialNoReason.TARGET_MAX_TOO_SMALL
+        elif s is None:
+            reason = TrivialNoReason.INSERTION_COUNTS_INVALID
+        else:
+            # Some block outnumbers its target multiplicity by more than 2s.
+            reason = TrivialNoReason.BLOCK_SHRINKS_TOO_MUCH
+        return KernelResult(KernelVerdict.TRIVIAL_NO, None, reason=reason)
     if s == 0:
-        # trivial_no_ddseqc's block check forces multiset equality when
-        # nothing may be inserted.
+        # The size floor's block check forces multiset equality when nothing
+        # may be inserted.
         return KernelResult(KernelVerdict.TRIVIAL_YES, None)
     chosen = compute_alpha_set(d, None, quota(s, d.max_degree))
     if len(chosen) == d.n:
@@ -237,26 +226,6 @@ def kernelize_ddseqc(d: Digraph, target: DegreeSequence) -> KernelResult:
     )
 
 
-def _dda_reduces(d: Digraph, s: int) -> bool:
-    """True when ``kernelize_dda`` shrinks d at budget s."""
-    delta = d.max_degree
-    return s > 0 and d.n > (delta + 1) ** 2 * ((delta + 2) * 2 * s + 2 * s)
-
-
-def trivial_no_dda(d: Digraph, k: int, s: int) -> TrivialNoReason | None:
-    """Cheap no-detectors for anonymous completion, or None."""
-    if s == 0 and not degree_sequence(d).is_k_anonymous(k):
-        return TrivialNoReason.NOT_ANONYMOUS_WITHOUT_BUDGET
-    # s arcs move at most 2s vertices into or out of a block, so one sized
-    # strictly between 2s and k - 2s is unfixable.  Checked only where
-    # kernelize_dda reduces, so that its verdicts stay as they were.
-    if _dda_reduces(d, s) and any(
-        2 * s < len(members) < k - 2 * s for members in blocks(d).values()
-    ):
-        return TrivialNoReason.BLOCK_SIZE_GAP
-    return None
-
-
 def kernelize_dda(d: Digraph, k: int, s: int) -> KernelResult:
     """Kernel for anonymous completion, parameterized by budget and degree.
 
@@ -268,22 +237,26 @@ def kernelize_dda(d: Digraph, k: int, s: int) -> KernelResult:
     ``k - 2s`` are unfixable, and the anonymity level itself is lowered to
     ``(max_degree + 2) * 2s`` when larger.
     """
-    if k < 1:
-        raise ValueError("anonymity level must be positive")
-    if s < 0:
-        raise ValueError("budget must be nonnegative")
-    reason = trivial_no_dda(d, k, s)
-    if reason is not None:
+    instance = AnonymityCompletion(d, k, s)  # rejects k < 1 and s < 0
+    delta = d.max_degree
+    reduces = s > 0 and d.n > (delta + 1) ** 2 * ((delta + 2) * 2 * s + 2 * s)
+    # A size floor above s says no: at s = 0, the digraph is not k-anonymous;
+    # above, a block lies in the size gap, checked only where the kernel
+    # reduces, so that its verdicts stay as they were.
+    if (s == 0 or reduces) and instance.size_floor() > s:
+        reason = (
+            TrivialNoReason.BLOCK_SIZE_GAP
+            if reduces
+            else TrivialNoReason.NOT_ANONYMOUS_WITHOUT_BUDGET
+        )
         return KernelResult(KernelVerdict.TRIVIAL_NO, None, reason=reason)
     if s == 0:
-        # trivial_no_dda found the digraph k-anonymous already.
+        # The floor found the digraph k-anonymous already.
         return KernelResult(KernelVerdict.TRIVIAL_YES, None)
-    if not _dda_reduces(d, s):
-        instance = AnonymityCompletion(d, k, s)
+    if not reduces:
         return KernelResult(
             KernelVerdict.UNCHANGED, instance, {v: v for v in range(d.n)}
         )
-    delta = d.max_degree
     beta = (delta + 2) * 2 * s
     k_new = min(k, beta)
     chosen: list[int] = []

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Union
 
-from .core import DegreeListFunction, DegreeSequence, Digraph
+from .core import DegreeListFunction, DegreeSequence, Digraph, degree_sequence
 
 
 def _free_pairs(d: Digraph) -> int:
@@ -49,10 +49,6 @@ class _Problem:
     def size_budget(self) -> int | None:
         return self.budget
 
-    def size_floor(self) -> int:
-        """A lower bound on the arc count of any solution."""
-        return 0
-
 
 @dataclass(frozen=True)
 class ListCompletion(_Problem):
@@ -80,13 +76,16 @@ class ListCompletion(_Problem):
         return min(self.allowed.bound, d.max_degree + self.budget, _roof(d))
 
     def size_floor(self) -> int:
+        """A lower bound on the arc count of any solution."""
         # Each inserted arc adds one indegree and one outdegree, so a solution
         # needs at least the summed least in-gains, and the summed least
-        # out-gains, to listed pairs that dominate the current degrees.  With
-        # no such pair at some vertex, no solution exists, so the bound goes
-        # above the number of insertable pairs.
+        # out-gains, to listed pairs that dominate the current degrees.  An
+        # arc touches two vertices, so it also needs half the unsatisfied
+        # ones.  With no such pair at some vertex (a degree above the cap
+        # leaves none), no solution exists, so the bound goes above the
+        # number of insertable pairs.
         d = self.digraph
-        need_in = need_out = 0
+        need_in = need_out = unsatisfied = 0
         for v, entry in enumerate(self.allowed.lists):
             have = d.degree(v)
             gains = [p - have for p in entry if p.dominates(have)]
@@ -94,7 +93,8 @@ class ListCompletion(_Problem):
                 return _free_pairs(d) + 1
             need_in += min(g.indeg for g in gains)
             need_out += min(g.outdeg for g in gains)
-        return max(need_in, need_out)
+            unsatisfied += have not in entry
+        return max(need_in, need_out, (unsatisfied + 1) // 2)
 
     def at_budget(self, s: int) -> "ListCompletion":
         # Degree pairs beyond n - 1 per component can never be realized in a
@@ -157,7 +157,21 @@ class SequenceCompletion(_Problem):
     def size_budget(self) -> int | None:
         return self.implied_insertions()
 
-    size_floor = size_budget  # the size is forced
+    def size_floor(self) -> int:
+        """The forced size, or more when no solution exists."""
+        # Degrees only grow, so a current max above the target's rules every
+        # solution out.  An arc moves at most two vertices out of a degree
+        # block, so a block that the target holds e fewer times needs e / 2
+        # arcs.
+        d, target = self.digraph, self.target
+        s = self.implied_insertions()
+        if s is None:
+            return _free_pairs(d) + 1
+        if d.max_indegree > target.max_indeg or d.max_outdegree > target.max_outdeg:
+            return s + 1
+        wanted = target.as_multiset()
+        have = degree_sequence(d).as_multiset()
+        return max([s] + [(count - wanted[p] + 1) // 2 for p, count in have.items()])
 
     def at_budget(self, s: int | None) -> "SequenceCompletion | None":
         d = self.digraph
@@ -194,6 +208,16 @@ class AnonymityCompletion(_Problem):
     def degree_cap(self) -> int:
         d = self.digraph
         return min(dda_delta_star_cap(d, self.anonymity, self.budget), _roof(d))
+
+    def size_floor(self) -> int:
+        """A lower bound on the arc count of any solution."""
+        # A block of b < k vertices must empty or grow to k, and an arc moves
+        # at most two vertices into or out of it.  So the floor is above 0
+        # exactly when the digraph is not k-anonymous, and above s exactly
+        # when some block is sized strictly between 2s and k - 2s.
+        k = self.anonymity
+        sizes = degree_sequence(self.digraph).as_multiset().values()
+        return max(((min(b, k - b) + 1) // 2 for b in sizes if b < k), default=0)
 
     def at_budget(self, s: int) -> "AnonymityCompletion":
         d = self.digraph

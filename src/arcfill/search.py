@@ -1,7 +1,7 @@
 """Bounded exhaustive search and the full two-stage solving pipeline.
 
-Small budgets are handled by the kernelizers' trivial-no rules and then by
-exhaustively trying arc sets inside a representative vertex set of the input
+Small budgets are handled by exhaustively trying arc sets, from the
+problem's size floor up, inside a representative vertex set of the input
 itself, with no kernel instance and no lift.  Budgets larger than twice the
 squared degree cap of any solution are handled on the degree sequence alone:
 a number-problem solver proposes per-vertex increments, which a max-flow
@@ -22,9 +22,6 @@ from .kernel import (
     kernelize_ddconc,
     kernelize_ddseqc,
     quota,
-    reduce_trivial_no,
-    trivial_no_dda,
-    trivial_no_ddseqc,
 )
 # Not called here: the benchmark tracer (bench/spans.py) wraps it by name.
 from .kernel import lift_solution  # noqa: F401
@@ -101,16 +98,19 @@ def _finish(instance: ProblemInstance, arcs) -> Solution:
 def solve_bounded(instance: ProblemInstance) -> Solution | None:
     """Exhaustive search over arc sets inside a representative vertex set.
 
+    A ``size_floor()`` above the budget is a "no" before any set is built.
     Candidate arcs are the insertable pairs within the representative set,
     sorted by (tail, head).  ``itertools.combinations`` yields their subsets
-    by increasing cardinality, starting at the problem's ``size_floor()``,
-    and then lexicographic rank, so the first valid hit is the canonical
-    minimal solution.  ``solve`` runs it on the input itself, once the
-    budget is at most twice the squared degree cap.
+    by increasing cardinality, starting at the floor, and then lexicographic
+    rank, so the first valid hit is the canonical minimal solution.
+    ``solve`` runs it on the input itself, once the budget is at most twice
+    the squared degree cap.
     """
     d = instance.digraph
     budget = instance.size_budget()
-    if budget is None:
+    floor = instance.size_floor()
+    # An exact-sequence target with invalid totals has no budget at all.
+    if budget is None or floor > budget:
         return None
     # No vertex gains more than the budget on either side, so types above it
     # lie in no solution and need no representatives.
@@ -130,7 +130,7 @@ def solve_bounded(instance: ProblemInstance) -> Solution | None:
     indeg = [d.indegree(v) for v in range(d.n)]
     outdeg = [d.outdegree(v) for v in range(d.n)]
     valid_now = instance.final_check()
-    for size in range(instance.size_floor(), min(budget, len(pairs)) + 1):
+    for size in range(floor, min(budget, len(pairs)) + 1):
         for arcs in combinations(pairs, size):
             for (u, v) in arcs:
                 outdeg[u] += 1
@@ -166,28 +166,23 @@ def _anonymous_demands(work, sequence, low, high, cap) -> DemandVector | None:
 
 
 # Per problem: the number step (instance, degree sequence, low, high, cap) ->
-# demands at the smallest feasible budget in low..high, or None; the
-# trivial-no step (instance, cap) -> TrivialNoReason or None; and the kernel
-# step (instance, cap) -> KernelResult, used only by ``kernelize``.  All look
-# the solvers up as module globals at call time.
+# demands at the smallest feasible budget in low..high, or None; and the
+# kernel step (instance, cap) -> KernelResult, used only by ``kernelize``,
+# whose trivial-no rules ``solve`` leaves to the size floors.  Both look the
+# solvers up as module globals at call time.
 _STEPS = {
     "ddconc": (
         _listed_demands,
-        lambda work, cap: reduce_trivial_no(
-            work.digraph, work.budget, work.allowed, cap
-        ),
         lambda work, cap: kernelize_ddconc(
             work.digraph, work.budget, work.allowed, cap
         ),
     ),
     "ddseqc": (
         _matched_demands,
-        lambda work, cap: trivial_no_ddseqc(work.digraph, work.target),
         lambda work, cap: kernelize_ddseqc(work.digraph, work.target),
     ),
     "dda": (
         _anonymous_demands,
-        lambda work, cap: trivial_no_dda(work.digraph, work.anonymity, work.budget),
         lambda work, cap: kernelize_dda(work.digraph, work.anonymity, work.budget),
     ),
 }
@@ -195,7 +190,7 @@ _STEPS = {
 
 def kernelize(instance: ProblemInstance) -> KernelResult:
     """The kernel of an instance at its own budget (``arcfill kernelize``)."""
-    return _STEPS[instance.kind][2](instance, instance.degree_cap())
+    return _STEPS[instance.kind][1](instance, instance.degree_cap())
 
 
 def solve(instance: ProblemInstance) -> Solution | None:
@@ -204,15 +199,15 @@ def solve(instance: ProblemInstance) -> Solution | None:
     A budget above twice the squared degree cap gets one try on the
     degree-sequence route (number problem plus flow realization).  Failing
     that, a forced size is a no, and any other budget drops to the threshold,
-    where the trivial-no rules and bounded search on the input decide.  Every
-    returned solution re-verifies against the original instance; identical
-    inputs produce identical solutions.
+    where bounded search on the input decides, starting at the problem's
+    size floor.  Every returned solution re-verifies against the original
+    instance; identical inputs produce identical solutions.
     """
     work = instance.at_budget(instance.size_budget())
     if work is None:
         return None
     d = instance.digraph
-    number_step, trivial_no, _ = _STEPS[instance.kind]
+    number_step, _ = _STEPS[instance.kind]
     s = work.size_budget()
     cap = work.degree_cap()
     threshold = 2 * cap * cap
@@ -225,8 +220,6 @@ def solve(instance: ProblemInstance) -> Solution | None:
             return None
         # Lowering the budget to the threshold keeps the cap (see _Problem).
         work = work.at_budget(threshold)
-    if trivial_no(work, cap) is not None:
-        return None
     inner = solve_bounded(work)
     if inner is None:
         return None

@@ -394,3 +394,134 @@ def test_internal_error_exits_3(tmp_path, monkeypatch):
     assert code == 3
     assert "internal error: RecursionError" in err
     assert "decision" not in out
+
+
+def _edited(instance, **fields) -> str:
+    """An instance file with some fields replaced."""
+    payload = json.loads(emit_instance(instance))
+    payload.update(fields)
+    return json.dumps(payload)
+
+
+_NDA = emit_number_instance(
+    NumberInstance("nda", DegreeSequence([(1, 1)]), budget=0, anonymity=1)
+)
+_DDA = emit_instance(anonymity_example())
+_NO_DDCONC = cli.emit_solution(list_example_yes(), None)
+
+
+# (argv with "@name" for a file, file texts by name, the error line)
+ERROR_EXITS = {
+    "missing-field": (
+        ["solve", "--input", "@in"],
+        {"in": _DDA.replace('"budget"', '"spent"')},
+        "dda: missing field 'budget'",
+    ),
+    "top-level-list": (
+        ["solve", "--input", "@in"], {"in": "[]"},
+        "top-level value must be an object",
+    ),
+    "wrong-format": (
+        ["solve", "--input", "@in"],
+        {"in": _edited(anonymity_example(), format="arcfill-solution")},
+        "header: expected format 'arcfill-instance', got 'arcfill-solution'",
+    ),
+    "wrong-version": (
+        ["solve", "--input", "@in"],
+        {"in": _edited(anonymity_example(), version=2)},
+        "header: unsupported version 2",
+    ),
+    "unknown-problem": (
+        ["solve", "--input", "@in"],
+        {"in": _edited(anonymity_example(), problem="ddx")},
+        "unknown problem 'ddx'",
+    ),
+    "arc-not-a-pair": (
+        ["solve", "--input", "@in"],
+        {"in": _edited(anonymity_example(), arcs=[[0]])},
+        "digraph: each arc must be a pair",
+    ),
+    "arc-out-of-range": (
+        ["solve", "--input", "@in"],
+        {"in": _edited(anonymity_example(), arcs=[[0, 9]])},
+        "digraph: arc (0, 9) out of range",
+    ),
+    "negative-component": (
+        ["solve", "--input", "@in"],
+        {"in": _edited(sequence_example(), target_sequence=[[-1, 0]] * 4)},
+        "target_sequence: negative component in (-1, 0)",
+    ),
+    "negative-budget": (
+        ["solve", "--input", "@in"],
+        {"in": _edited(anonymity_example(), budget=-1)},
+        "budget must be nonnegative",
+    ),
+    "zero-anonymity": (
+        ["solve", "--input", "@in"],
+        {"in": _edited(anonymity_example(), anonymity=0)},
+        "anonymity level must be positive",
+    ),
+    "negative-vertices": (
+        ["solve", "--input", "@in"],
+        {"in": _edited(anonymity_example(), vertices=-1)},
+        "vertex count must be nonnegative",
+    ),
+    "max-value-too-small": (
+        ["numprob", "--input", "@in"],
+        {"in": _NDA.replace('"anonymity": 1', '"anonymity": 1, "max_value": 0')},
+        "max_value below the largest sequence component",
+    ),
+    "unknown-decision": (
+        ["verify", "--input", "@in", "--solution", "@sol"],
+        {"in": _DDA, "sol": _NO_DDCONC.replace('"no"', '"maybe"')},
+        "unknown decision 'maybe'",
+    ),
+    "solution-for-another-problem": (
+        ["verify", "--input", "@in", "--solution", "@sol"],
+        {"in": _DDA, "sol": _NO_DDCONC},
+        "solution is for 'ddconc' but instance is 'dda'",
+    ),
+    "partition-not-integers": (
+        ["gen", "--partition", "1,x"], {},
+        "--partition: expected comma-separated integers",
+    ),
+    "gen-without-problem": (
+        ["gen", "--seed", "1"], {},
+        "--problem is required for random generation",
+    ),
+    "demands-too-short": (
+        ["network", "--input", "@in", "--demands-in", "1", "--demands-out", "1"],
+        {"in": _DDA},
+        "demand lists must cover every vertex",
+    ),
+    **{
+        f"gen-{problem}-negative-{option}": (
+            ["gen", "--problem", problem, "--seed", "1", f"--{option}", "-1"],
+            {},
+            f"{option} must be nonnegative",
+        )
+        for problem in ("ddconc", "ddseqc", "dda")
+        for option in ("budget", "slack")
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_EXITS))
+def test_error_exits_print_one_error_line(case, tmp_path):
+    argv, files, message = ERROR_EXITS[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    code, out, err = _run(argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_verify_on_a_no_file_exits_1(tmp_path):
+    instance_path = tmp_path / "instance.json"
+    solution_path = tmp_path / "solution.json"
+    instance_path.write_text(_DDA)
+    solution_path.write_text(cli.emit_solution(anonymity_example(), None))
+    code, out, err = _run(
+        ["verify", "--input", str(instance_path), "--solution", str(solution_path)]
+    )
+    assert (code, out, err) == (1, "nothing to verify: solution file claims no\n", "")

@@ -197,6 +197,19 @@ def test_solve_nda_zero_budget_cases():
     assert solve_nda(DegreeSequence([(0, 0), (1, 1)]), 0, 2, 1) is None
 
 
+def test_solve_nda_on_an_empty_sequence():
+    # With no entries, budget 0 gives the empty witness, and no other budget
+    # can be spent.
+    empty = DegreeSequence([])
+    for s in (0, 1):
+        fast = solve_nda(empty, s, 2, 0)
+        slow = brute_force_nda(empty, s, 2, 0)
+        assert (fast is None) == (slow is None) == (s == 1)
+        if fast is not None:
+            assert fast.target == slow.target == empty
+            assert fast.demands == slow.demands
+
+
 def test_solve_nda_merges_two_singletons():
     sol = solve_nda(DegreeSequence([(1, 0), (0, 1)]), 1, 2, 1)
     assert sol is not None

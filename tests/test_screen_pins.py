@@ -130,27 +130,34 @@ FAMILIES = {
 }
 
 
-def _hand_built():
-    star = Digraph(4, [(0, 1), (0, 2), (0, 3)])
-    star_lists = DegreeListFunction([[(0, 2)]] + [[(1, 0)]] * 3, bound=2)
-    gap = Digraph(46, [(u, u + 1) for u in range(40, 45)])
-    return {
-        TrivialNoReason.TOO_MANY_UNSATISFIED: ListCompletion(
-            Digraph(3), 1, DegreeListFunction([[(1, 1)]] * 3)
-        ),
-        TrivialNoReason.DEGREE_EXCEEDS_CAP: ListCompletion(star, 2, star_lists),
-        TrivialNoReason.TARGET_MAX_TOO_SMALL: SequenceCompletion(
-            Digraph(3, [(0, 1), (2, 1)]), DegreeSequence([(1, 1)] * 3)
-        ),
-        TrivialNoReason.BLOCK_SHRINKS_TOO_MUCH: SequenceCompletion(
-            Digraph(6, [(0, 1), (1, 2), (2, 0)]),
-            DegreeSequence([(2, 1), (1, 2)] + [(0, 0)] * 4),
-        ),
-        TrivialNoReason.NOT_ANONYMOUS_WITHOUT_BUDGET: AnonymityCompletion(
-            Digraph(3, [(0, 1)]), 2, 0
-        ),
-        TrivialNoReason.BLOCK_SIZE_GAP: AnonymityCompletion(gap, 12, 1),
-    }
+HAND_BUILT = {
+    # Every vertex needs an arc, and one arc reaches two.
+    TrivialNoReason.TOO_MANY_UNSATISFIED: ListCompletion(
+        Digraph(3), 1, DegreeListFunction([[(1, 1)]] * 3)
+    ),
+    # The centre's outdegree 3 is above the bound 2.
+    TrivialNoReason.DEGREE_EXCEEDS_CAP: ListCompletion(
+        Digraph(4, [(0, 1), (0, 2), (0, 3)]),
+        2,
+        DegreeListFunction([[(0, 2)]] + [[(1, 0)]] * 3, bound=2),
+    ),
+    # Vertex 1 already has indegree 2.
+    TrivialNoReason.TARGET_MAX_TOO_SMALL: SequenceCompletion(
+        Digraph(3, [(0, 1), (2, 1)]), DegreeSequence([(1, 1)] * 3)
+    ),
+    # Three (1, 1) vertices, none in the target, and nothing to insert.
+    TrivialNoReason.BLOCK_SHRINKS_TOO_MUCH: SequenceCompletion(
+        Digraph(6, [(0, 1), (1, 2), (2, 0)]),
+        DegreeSequence([(2, 1), (1, 2)] + [(0, 0)] * 4),
+    ),
+    TrivialNoReason.NOT_ANONYMOUS_WITHOUT_BUDGET: AnonymityCompletion(
+        Digraph(3, [(0, 1)]), 2, 0
+    ),
+    # A block of 5 lies between 2s = 2 and k - 2s = 10.
+    TrivialNoReason.BLOCK_SIZE_GAP: AnonymityCompletion(
+        Digraph(46, [(u, u + 1) for u in range(40, 45)]), 12, 1
+    ),
+}
 
 
 @pytest.fixture
@@ -164,9 +171,9 @@ def no_search(monkeypatch):
     monkeypatch.setattr(search, "combinations", forbidden)
 
 
-@pytest.mark.parametrize("reason", list(_hand_built()), ids=lambda r: r.value)
+@pytest.mark.parametrize("reason", list(HAND_BUILT), ids=lambda r: r.value)
 def test_hand_built_screened_instance_is_a_quick_no(reason, no_search):
-    instance = _hand_built()[reason]
+    instance = HAND_BUILT[reason]
     assert _below_threshold(instance)
     assert _screen(instance) is reason
     assert search.solve(instance) is None

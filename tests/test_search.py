@@ -26,6 +26,7 @@ from arcfill.search import Solution
 from conftest import (
     add_arcs,
     anonymity_example,
+    bounded_digraph,
     list_example_no,
     list_example_yes,
     random_anonymity_instance,
@@ -87,6 +88,13 @@ def test_solve_bounded_on_fixtures():
     assert trivial is not None and trivial.arcs == ()
 
 
+def test_solve_bounded_without_a_size_budget_is_a_no():
+    # Indegrees that sum to 1 and outdegrees that sum to 0 fix no arc count.
+    inst = SequenceCompletion(Digraph(2), DegreeSequence([(1, 0), (0, 0)]))
+    assert inst.size_budget() is None
+    assert solve_bounded(inst) is None
+
+
 def test_solve_bounded_survives_low_recursion_limit():
     # The first 100 sorted pairs are the first subset of size 100 tried, so
     # the search answers at once; a recursive search would need depth 100.
@@ -132,8 +140,24 @@ def test_search_with_size_floor_matches_bruteforce():
             assert (mine is None) == (reference is None), inst
             if mine is not None:
                 assert mine.arcs == reference.arcs, inst
-            if reference is not None and inst.kind == "ddconc":
+            if reference is not None:
                 assert len(reference.arcs) >= inst.size_floor(), inst
+
+
+def test_anonymity_floor_is_the_anonymity_and_gap_rule():
+    # A block of b < k vertices needs min(b, k - b) / 2 arcs, so the floor is
+    # above 0 exactly when the digraph is not k-anonymous, and above s
+    # exactly when some block is sized strictly between 2s and k - 2s.
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.randint(1, 16)
+        d = bounded_digraph(rng, n, 2, density=rng.random() * 0.2)
+        inst = AnonymityCompletion(d, rng.randint(1, n + 1), rng.randint(0, 3))
+        k, s = inst.anonymity, inst.budget
+        sizes = degree_sequence(d).as_multiset().values()
+        floor = inst.size_floor()
+        assert (floor > 0) != degree_sequence(d).is_k_anonymous(k), inst
+        assert (floor > s) == any(2 * s < b < k - 2 * s for b in sizes), inst
 
 
 def test_list_vertex_without_dominating_pair_is_not_searched(monkeypatch):
@@ -179,7 +203,9 @@ def test_anonymity_quota_uses_the_max_degree_inside_the_set(monkeypatch):
 
     monkeypatch.setattr(search, "combinations", counting)
     assert search.solve_bounded(AnonymityCompletion(d, 9, 1)) is None
-    assert sizes == [30, 30]
+    # Every degree block is below k = 9, so the size floor of 1 skips the
+    # empty set.
+    assert sizes == [30]
 
 
 def test_sequence_large_budget_goes_through_matching_and_flow():
@@ -297,13 +323,13 @@ def test_number_route_runs_once_and_keeps_the_cap(monkeypatch):
     # at that budget it can take minutes.
     numbered = []
     searched = []
-    for kind, (number_step, trivial_no, kernel_step) in list(search._STEPS.items()):
+    for kind, (number_step, kernel_step) in list(search._STEPS.items()):
 
         def counted(work, *args, number_step=number_step):
             numbered.append(work.kind)
             return number_step(work, *args)
 
-        monkeypatch.setitem(search._STEPS, kind, (counted, trivial_no, kernel_step))
+        monkeypatch.setitem(search._STEPS, kind, (counted, kernel_step))
     monkeypatch.setattr(search, "solve_bounded", lambda work: searched.append(work))
     draws = _above_threshold_draws(160)
     kinds = Counter(inst.kind for inst, _ in draws)
