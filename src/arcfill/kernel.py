@@ -240,10 +240,14 @@ def kernelize_dda(d: Digraph, k: int, s: int) -> KernelResult:
     instance = AnonymityCompletion(d, k, s)  # rejects k < 1 and s < 0
     delta = d.max_degree
     reduces = s > 0 and d.n > (delta + 1) ** 2 * ((delta + 2) * 2 * s + 2 * s)
-    # A size floor above s says no: at s = 0, the digraph is not k-anonymous;
-    # above, a block lies in the size gap, checked only where the kernel
-    # reduces, so that its verdicts stay as they were.
-    if (s == 0 or reduces) and instance.size_floor() > s:
+    # A block sized strictly between 2s and k - 2s can neither empty nor fill
+    # up to k, since an arc moves at most two vertices into or out of it; at
+    # s = 0 that is any block below k.  Above 0 the rule is checked only
+    # where the kernel reduces.  It stays per block, not the solver's summed
+    # size floor, so that the kernel's verdicts stay as they were.
+    degree_blocks = blocks(d)
+    sizes = [len(members) for members in degree_blocks.values()]
+    if (s == 0 or reduces) and any(2 * s < b < k - 2 * s for b in sizes):
         reason = (
             TrivialNoReason.BLOCK_SIZE_GAP
             if reduces
@@ -251,7 +255,7 @@ def kernelize_dda(d: Digraph, k: int, s: int) -> KernelResult:
         )
         return KernelResult(KernelVerdict.TRIVIAL_NO, None, reason=reason)
     if s == 0:
-        # The floor found the digraph k-anonymous already.
+        # No block is smaller than k, so the digraph is k-anonymous already.
         return KernelResult(KernelVerdict.TRIVIAL_YES, None)
     if not reduces:
         return KernelResult(
@@ -260,7 +264,7 @@ def kernelize_dda(d: Digraph, k: int, s: int) -> KernelResult:
     beta = (delta + 2) * 2 * s
     k_new = min(k, beta)
     chosen: list[int] = []
-    for _, members in sorted(blocks(d).items()):
+    for _, members in sorted(degree_blocks.items()):
         block = sorted(members)
         size = len(block)
         if k <= beta:

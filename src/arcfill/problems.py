@@ -210,14 +210,38 @@ class AnonymityCompletion(_Problem):
         return min(dda_delta_star_cap(d, self.anonymity, self.budget), _roof(d))
 
     def size_floor(self) -> int:
-        """A lower bound on the arc count of any solution."""
-        # A block of b < k vertices must empty or grow to k, and an arc moves
-        # at most two vertices into or out of it.  So the floor is above 0
-        # exactly when the digraph is not k-anonymous, and above s exactly
-        # when some block is sized strictly between 2s and k - 2s.
+        """A lower bound on the arc count of any solution.
+
+        Each arc adds exactly 2 to the summed gains |Δin| + |Δout| over all
+        vertices.  A degree block of b < k vertices must either empty or
+        fill up to k.  Emptying moves its b vertices, each with a gain of at
+        least 1.  Filling takes k - b joiners.  Degrees only grow, so each
+        joiner comes from a present pair that the block strictly dominates,
+        and its gain is at least the least L1 distance to such a pair; with
+        no such pair the block cannot be filled.  A vertex leaves at most one
+        block and joins at most one, so the emptying total E and the filling
+        total F are each at most 2 * arcs.  The floor is therefore the least
+        ceil(max(E, F) / 2) over all splits of the small blocks into emptied
+        and filled ones.  It is above 0 exactly when the digraph is not
+        k-anonymous, and never below ceil(min(b, k - b) / 2) for any block.
+        """
         k = self.anonymity
-        sizes = degree_sequence(self.digraph).as_multiset().values()
-        return max(((min(b, k - b) + 1) // 2 for b in sizes if b < k), default=0)
+        have = degree_sequence(self.digraph).as_multiset()
+        # Least filling total for each emptying total, over the blocks so far;
+        # an emptying total is at most n, so the map holds at most n + 1 keys.
+        best = {0: 0}
+        for pair, b in have.items():
+            if b >= k:
+                continue
+            dists = [sum(pair - p) for p in have if p != pair and pair.dominates(p)]
+            options = [(b, 0)] + ([(0, (k - b) * min(dists))] if dists else [])
+            step: dict[int, int] = {}
+            for empty, fill in best.items():
+                for e, f in options:
+                    if fill + f < step.get(empty + e, fill + f + 1):
+                        step[empty + e] = fill + f
+            best = step
+        return min((max(empty, fill) + 1) // 2 for empty, fill in best.items())
 
     def at_budget(self, s: int) -> "AnonymityCompletion":
         d = self.digraph

@@ -103,7 +103,7 @@ FAMILIES = {
         _anonymous,
         100,
         "47c88f592429b380ba03f993bb3d1a7a3534a3ceac32a9a41c4203e695e7ef42",
-        33325,
+        31358,
     ),
     "ddseqc": (
         _sequence,

@@ -145,9 +145,11 @@ def test_search_with_size_floor_matches_bruteforce():
 
 
 def test_anonymity_floor_is_the_anonymity_and_gap_rule():
-    # A block of b < k vertices needs min(b, k - b) / 2 arcs, so the floor is
-    # above 0 exactly when the digraph is not k-anonymous, and above s
-    # exactly when some block is sized strictly between 2s and k - 2s.
+    # Every block of b < k vertices must empty or fill up to k, so the floor
+    # is above 0 exactly when the digraph is not k-anonymous.  It weighs all
+    # such blocks together, so it is never below the per-block count
+    # ceil(min(b, k - b) / 2), and a block sized strictly between 2s and
+    # k - 2s puts it above s.
     rng = random.Random(31)
     for _ in range(300):
         n = rng.randint(1, 16)
@@ -157,7 +159,10 @@ def test_anonymity_floor_is_the_anonymity_and_gap_rule():
         sizes = degree_sequence(d).as_multiset().values()
         floor = inst.size_floor()
         assert (floor > 0) != degree_sequence(d).is_k_anonymous(k), inst
-        assert (floor > s) == any(2 * s < b < k - 2 * s for b in sizes), inst
+        if any(2 * s < b < k - 2 * s for b in sizes):
+            assert floor > s, inst
+        per_block = [(min(b, k - b) + 1) // 2 for b in sizes if b < k]
+        assert floor >= max(per_block, default=0), inst
 
 
 def test_list_vertex_without_dominating_pair_is_not_searched(monkeypatch):
@@ -190,10 +195,10 @@ def test_list_type_above_the_budget_needs_no_representative(monkeypatch):
 
 
 def test_anonymity_quota_uses_the_max_degree_inside_the_set(monkeypatch):
-    # Tails 0..7 point at heads 23..16 and 8..15 are isolated.  At budget 1
+    # Tails 0..7 point at heads 24..17 and 8..16 are isolated.  At budget 1
     # the first set keeps 4 vertices per degree block and no arc joins two
     # of them, so the quota drops to 2 per block: 6 vertices, 30 pairs.
-    d = Digraph(24, [(i, 23 - i) for i in range(8)])
+    d = Digraph(25, [(i, 24 - i) for i in range(8)])
     sizes = []
     subsets = search.combinations
 
@@ -202,9 +207,12 @@ def test_anonymity_quota_uses_the_max_degree_inside_the_set(monkeypatch):
         return subsets(pairs, size)
 
     monkeypatch.setattr(search, "combinations", counting)
-    assert search.solve_bounded(AnonymityCompletion(d, 9, 1)) is None
-    # Every degree block is below k = 9, so the size floor of 1 skips the
-    # empty set.
+    inst = AnonymityCompletion(d, 9, 1)
+    assert search.solve_bounded(inst) is None
+    # The 9 isolated vertices reach k = 9, and each block of 8 fills with
+    # one joiner at distance 1, so the size floor of 1 skips the empty set
+    # and leaves size 1 to the search.
+    assert inst.size_floor() == 1
     assert sizes == [30]
 
 
