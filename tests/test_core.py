@@ -35,6 +35,13 @@ def test_digraph_rejects_loops_and_bad_range():
         Digraph(2, [(0, 2)])
 
 
+def test_digraph_drops_a_repeated_arc():
+    d = Digraph(2, [(0, 1), (0, 1)])
+    assert d.m == 1
+    assert d.out_neighbors(0) == (1,)
+    assert d.in_neighbors(1) == (0,)
+
+
 def test_degree_sequence_examples():
     assert list(degree_sequence(Digraph(2, [(0, 1)]))) == [(0, 1), (1, 0)]
     assert list(degree_sequence(Digraph(2))) == [(0, 0), (0, 0)]
@@ -117,6 +124,37 @@ def test_degree_list_function_size_and_bound():
     assert lists.bound == 2
     with pytest.raises(ValueError):
         DegreeListFunction([[(3, 0)]], bound=2)
+
+
+def test_degree_sequence_value_semantics():
+    seq = DegreeSequence([(1, 0), DegreePair(0, 2)])
+    same = DegreeSequence([DegreePair(1, 0), [0, 2]])
+    assert seq == same and hash(seq) == hash(same)
+    assert seq != DegreeSequence([(0, 2), (1, 0)])
+    assert seq != DegreeSequence([(1, 0)])
+    assert len(seq) == 2
+    assert seq[0] == (1, 0) and isinstance(seq[0], DegreePair)
+    assert seq[-1] == DegreePair(0, 2)
+    assert seq[1:] == (DegreePair(0, 2),)
+    assert list(seq) == [(1, 0), (0, 2)]
+    assert repr(seq) == "DegreeSequence([(1, 0), (0, 2)])"
+    assert repr(DegreeSequence(())) == "DegreeSequence([])"
+
+
+def test_degree_list_function_value_semantics():
+    lists = DegreeListFunction([[(1, 0), (0, 1)], [(2, 2)]])
+    same = DegreeListFunction([[(0, 1), (1, 0)], [(2, 2)]], bound=5)
+    assert lists == same and hash(lists) == hash(same)
+    assert lists.bound == 2 and same.bound == 5
+    assert lists != DegreeListFunction([[(2, 2)], [(1, 0), (0, 1)]])
+    assert len(lists) == 2
+    assert lists[1] == frozenset({DegreePair(2, 2)})
+    assert lists[-1] == lists[1]
+    assert lists[:1] == (frozenset({(1, 0), (0, 1)}),)
+    assert list(lists) == [frozenset({(1, 0), (0, 1)}), frozenset({(2, 2)})]
+    assert lists.lists == (frozenset({(1, 0), (0, 1)}), frozenset({(2, 2)}))
+    assert repr(lists) == "DegreeListFunction([[(0, 1), (1, 0)], [(2, 2)]], bound=2)"
+    assert repr(same) == "DegreeListFunction([[(0, 1), (1, 0)], [(2, 2)]], bound=5)"
 
 
 @given(digraphs())

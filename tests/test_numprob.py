@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from arcfill import (
+    Bijection,
     DegreeListFunction,
     DegreeSequence,
     ElementTooLargeError,
@@ -128,6 +129,21 @@ def test_solve_nddsc_fixture_pair():
 def test_solve_nddsc_length_mismatch():
     with pytest.raises(LengthMismatchError):
         solve_nddsc(DegreeSequence([(0, 0)]), DegreeSequence([(0, 0), (1, 1)]))
+
+
+def test_bijection_value_semantics():
+    pi = Bijection((1, 0, 2))
+    same = Bijection((1, 0, 2))
+    assert pi == same and hash(pi) == hash(same)
+    assert pi != Bijection((0, 1, 2))
+    assert pi.mapping == (1, 0, 2)
+    assert len(pi) == 3
+    assert pi[0] == 1 and pi[-1] == 2
+    assert pi[1:] == (0, 2)
+    assert list(pi) == [1, 0, 2]
+    assert repr(pi) == "Bijection(mapping=(1, 0, 2))"
+    with pytest.raises(ValueError, match="^mapping is not a permutation$"):
+        Bijection((1, 2))
 
 
 def test_solve_nddsc_matches_bruteforce():

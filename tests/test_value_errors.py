@@ -3,6 +3,8 @@ whose message names the fault."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from arcfill import (
@@ -14,6 +16,9 @@ from arcfill import (
     Digraph,
     ListCompletion,
     SequenceCompletion,
+    brute_force_nda,
+    brute_force_nddcc,
+    brute_force_nddsc,
     build_network,
     compute_alpha_set,
     kernelize_dda,
@@ -21,6 +26,7 @@ from arcfill import (
     solve_nda,
     solve_nddcc,
 )
+from arcfill.cli import generate_instance
 
 _PATH = Digraph(2, [(0, 1)])
 _ONE = DegreeSequence([(0, 0)])
@@ -91,6 +97,30 @@ CASES = {
     "nda-negative-budget": (
         lambda: solve_nda(_ONE, -1, 1, 1),
         "budget must be nonnegative",
+    ),
+    "digraph-negative-vertices": (
+        lambda: Digraph(-1),
+        "vertex count must be nonnegative",
+    ),
+    "sequence-negative-pair": (
+        lambda: DegreeSequence([(0, 0), (-1, 2)]),
+        "degree pair must be nonnegative, got (-1, 2)",
+    ),
+    "generate-unknown-problem": (
+        lambda: generate_instance("ddx", random.Random(1), 2, 0.5, 1),
+        "unknown problem 'ddx'",
+    ),
+    "oracle-nddcc-budget-cap": (
+        lambda: brute_force_nddcc(_ONE, 9, DegreeListFunction([[(0, 0)]])),
+        "budget 9 exceeds cap 8",
+    ),
+    "oracle-nda-budget-cap": (
+        lambda: brute_force_nda(_ONE, 7, 1),
+        "budget 7 exceeds cap 6",
+    ),
+    "oracle-nddsc-short-target": (
+        lambda: brute_force_nddsc(_ONE, DegreeSequence([(0, 0), (0, 0)])),
+        "sequences must have equal length",
     ),
 }
 
