@@ -122,6 +122,8 @@ def _load(text: str, fmt: str, problems, noun: str) -> tuple[dict, str]:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno) from exc
+    except RecursionError as exc:
+        raise ParseError("value nested too deeply") from exc
     if not isinstance(data, dict):
         raise ParseError("top-level value must be an object")
     found = _expect(data, "format", str, "header")

@@ -417,6 +417,10 @@ ERROR_EXITS = {
         {"in": _DDA.replace('"budget"', '"spent"')},
         "dda: missing field 'budget'",
     ),
+    "nested-too-deeply": (
+        ["solve", "--input", "@in"], {"in": "[" * 100_000},
+        "value nested too deeply",
+    ),
     "top-level-list": (
         ["solve", "--input", "@in"], {"in": "[]"},
         "top-level value must be an object",
