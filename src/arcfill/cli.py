@@ -286,7 +286,7 @@ def emit_number_instance(instance: NumberInstance) -> str:
     if instance.problem == "nddcc":
         data["budget"] = instance.budget
         data["degree_bound"] = instance.lists.bound
-        data["degree_lists"] = [_pairs(sorted(entry)) for entry in instance.lists.lists]
+        data["degree_lists"] = [_pairs(sorted(entry)) for entry in instance.lists]
     elif instance.problem == "nddsc":
         data["target_sequence"] = _pairs(instance.target)
     else:
@@ -332,7 +332,7 @@ def emit_number_solution(instance: NumberInstance, result) -> str:
     data["decision"] = "yes" if result is not None else "no"
     if result is not None:
         if instance.problem == "nddsc":
-            data["assignment"] = list(result.mapping)
+            data["assignment"] = list(result)
         else:
             data["target_sequence"] = _pairs(result.target)
             data["demand_in"] = list(result.demands.in_demand)

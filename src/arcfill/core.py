@@ -2,13 +2,14 @@
 
 Vertices are dense integer indices ``0..n-1``.  All containers iterate in
 ascending index order, so every operation built on top of this module is
-deterministic.  Values are immutable after construction.
+deterministic.  The sequence types are tuples and equal the plain tuple of
+their entries.  Values are immutable after construction.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 Arc = tuple[int, int]
 
@@ -144,45 +145,28 @@ class Digraph:
         return f"Digraph(n={self.n}, arcs={self.sorted_arcs()!r})"
 
 
-class DegreeSequence:
-    """Ordered list of degree pairs; entry order carries vertex identity.
+class DegreeSequence(tuple[DegreePair, ...]):
+    """Tuple of degree pairs; entry order carries vertex identity.
 
     Equality is order-sensitive; use :meth:`as_multiset` for the multiset
     view.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ()
 
-    def __init__(self, entries: Iterable):
-        self.entries: tuple[DegreePair, ...] = tuple(_as_pair(e) for e in entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[DegreePair]:
-        return iter(self.entries)
-
-    def __getitem__(self, i: int) -> DegreePair:
-        return self.entries[i]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DegreeSequence):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
+    def __new__(cls, entries: Iterable):
+        return super().__new__(cls, (_as_pair(e) for e in entries))
 
     def __repr__(self) -> str:
-        return f"DegreeSequence({[tuple(e) for e in self.entries]!r})"
+        return f"DegreeSequence({[tuple(e) for e in self]!r})"
 
     @property
     def max_indeg(self) -> int:
-        return max((e.indeg for e in self.entries), default=0)
+        return max((e.indeg for e in self), default=0)
 
     @property
     def max_outdeg(self) -> int:
-        return max((e.outdeg for e in self.entries), default=0)
+        return max((e.outdeg for e in self), default=0)
 
     @property
     def max_component(self) -> int:
@@ -190,14 +174,14 @@ class DegreeSequence:
 
     @property
     def sum_indeg(self) -> int:
-        return sum(e.indeg for e in self.entries)
+        return sum(e.indeg for e in self)
 
     @property
     def sum_outdeg(self) -> int:
-        return sum(e.outdeg for e in self.entries)
+        return sum(e.outdeg for e in self)
 
     def as_multiset(self) -> Counter:
-        return Counter(self.entries)
+        return Counter(self)
 
     def is_k_anonymous(self, k: int) -> bool:
         """True iff every occurring pair occurs at least k times."""
@@ -206,42 +190,33 @@ class DegreeSequence:
         return all(count >= k for count in self.as_multiset().values())
 
 
-class DegreeListFunction:
-    """Per-vertex sets of permitted final degree pairs, components <= bound."""
+class DegreeListFunction(tuple[frozenset[DegreePair], ...]):
+    """Per-vertex sets of permitted final degree pairs, components <= bound.
 
-    __slots__ = ("lists", "bound")
+    ``bound`` is read-only and takes no part in equality.
+    """
 
-    def __init__(self, lists: Iterable[Iterable], bound: int | None = None):
-        self.lists: tuple[frozenset[DegreePair], ...] = tuple(
-            frozenset(_as_pair(p) for p in entry) for entry in lists
-        )
-        derived = max(
-            (p.max_component for entry in self.lists for p in entry), default=0
-        )
-        if bound is None:
-            bound = derived
-        elif bound < derived:
+    def __new__(cls, lists: Iterable[Iterable], bound: int | None = None):
+        sets = (frozenset(_as_pair(p) for p in entry) for entry in lists)
+        self = super().__new__(cls, sets)
+        derived = max((p.max_component for entry in self for p in entry), default=0)
+        if bound is not None and bound < derived:
             raise ValueError(
                 f"degree bound {bound} smaller than listed component {derived}"
             )
-        self.bound = bound
+        self._bound = derived if bound is None else bound
+        return self
 
-    def __len__(self) -> int:
-        return len(self.lists)
+    @property
+    def bound(self) -> int:
+        return self._bound
 
-    def __getitem__(self, v: int) -> frozenset[DegreePair]:
-        return self.lists[v]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DegreeListFunction):
-            return NotImplemented
-        return self.lists == other.lists
-
-    def __hash__(self) -> int:
-        return hash(self.lists)
+    @property
+    def lists(self) -> tuple[frozenset[DegreePair], ...]:
+        return tuple(self)
 
     def __repr__(self) -> str:
-        shown = [sorted(tuple(p) for p in entry) for entry in self.lists]
+        shown = [sorted(tuple(p) for p in entry) for entry in self]
         return f"DegreeListFunction({shown!r}, bound={self.bound})"
 
 

@@ -157,7 +157,7 @@ def kernelize_ddconc(
     kernel_lists = DegreeListFunction(adjusted, bound=delta_star)
     instance = ListCompletion(kernel_digraph, s, kernel_lists)
     kept_map = {i: orig for i, orig in enumerate(kept)}
-    if len(kept) == d.n and kernel_lists.lists == lists.lists:
+    if len(kept) == d.n and kernel_lists == lists:
         return KernelResult(KernelVerdict.UNCHANGED, instance, kept_map)
     return KernelResult(KernelVerdict.REDUCED, instance, kept_map)
 

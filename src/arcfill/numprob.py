@@ -10,6 +10,7 @@ completion problems and reconstruct witness sequences.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .core import DegreeListFunction, DegreePair, DegreeSequence
 from .flow import DemandVector
@@ -43,22 +44,23 @@ class NumberSolution:
     demands: DemandVector
 
 
-@dataclass(frozen=True)
-class Bijection:
-    """A permutation of 0..n-1, stored as the image tuple."""
+class Bijection(tuple[int, ...]):
+    """A permutation of 0..n-1, as the tuple of images."""
 
-    mapping: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.mapping)
-        if sorted(self.mapping) != list(range(n)):
+    def __new__(cls, mapping: Iterable[int]):
+        self = super().__new__(cls, mapping)
+        if sorted(self) != list(range(len(self))):
             raise ValueError("mapping is not a permutation")
+        return self
 
-    def __getitem__(self, i: int) -> int:
-        return self.mapping[i]
+    @property
+    def mapping(self) -> tuple[int, ...]:
+        return tuple(self)
 
-    def __len__(self) -> int:
-        return len(self.mapping)
+    def __repr__(self) -> str:
+        return f"Bijection(mapping={self.mapping!r})"
 
 
 def demands_from_solution(

@@ -86,7 +86,7 @@ class ListCompletion(_Problem):
         # number of insertable pairs.
         d = self.digraph
         need_in = need_out = unsatisfied = 0
-        for v, entry in enumerate(self.allowed.lists):
+        for v, entry in enumerate(self.allowed):
             have = d.degree(v)
             gains = [p - have for p in entry if p.dominates(have)]
             if not gains:
@@ -112,7 +112,7 @@ class ListCompletion(_Problem):
         return ListCompletion(d, min(s, _free_pairs(d)), trimmed)
 
     def final_check(self):
-        lists = self.allowed.lists
+        lists = self.allowed
         return lambda indeg, outdeg: all(
             (i, o) in allowed for i, o, allowed in zip(indeg, outdeg, lists)
         )
@@ -122,7 +122,7 @@ class ListCompletion(_Problem):
             "budget": self.budget,
             "degree_bound": self.allowed.bound,
             "degree_lists": [
-                [list(p) for p in sorted(entry)] for entry in self.allowed.lists
+                [list(p) for p in sorted(entry)] for entry in self.allowed
             ],
         }
 

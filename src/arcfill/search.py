@@ -153,7 +153,7 @@ def _matched_demands(work, sequence, low, high, cap) -> DemandVector | None:
     matching = solve_nddsc(sequence, work.target)
     if matching is None:
         return None
-    target = DegreeSequence(work.target[j] for j in matching.mapping)
+    target = DegreeSequence(work.target[j] for j in matching)
     return demands_from_solution(sequence, target)
 
 

@@ -157,6 +157,15 @@ def test_degree_list_function_value_semantics():
     assert repr(same) == "DegreeListFunction([[(0, 1), (1, 0)], [(2, 2)]], bound=5)"
 
 
+def test_degree_list_function_bound_is_read_only():
+    lists = DegreeListFunction([[(0, 1)]], bound=3)
+    with pytest.raises(AttributeError):
+        lists.bound = 4
+    with pytest.raises(AttributeError):
+        del lists.bound
+    assert lists.bound == 3
+
+
 @given(digraphs())
 def test_handshake(d: Digraph):
     seq = degree_sequence(d)
