@@ -197,7 +197,7 @@ def solve_nddsc(sigma: DegreeSequence, phi: DegreeSequence) -> Bijection | None:
     mapping = [0] * n
     for j, i in enumerate(match_right):
         mapping[i] = j
-    return Bijection(tuple(mapping))
+    return Bijection(mapping)
 
 
 def _plausible_moves(
