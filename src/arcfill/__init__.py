@@ -17,7 +17,6 @@ from .core import (
     DegreePair,
     DegreeSequence,
     Digraph,
-    LoopArcError,
     blocks,
     degree_sequence,
     is_satisfied,
@@ -27,7 +26,6 @@ from .flow import (
     DemandVector,
     FlowNetwork,
     PreconditionViolatedError,
-    UnbalancedDemandsError,
     build_network,
     max_flow,
     realize_demands,
@@ -36,7 +34,6 @@ from .flow import (
 from .kernel import (
     KernelResult,
     KernelVerdict,
-    SolutionTouchesAddedVertexError,
     TrivialNoReason,
     compute_alpha_set,
     kernelize_dda,
@@ -47,11 +44,7 @@ from .kernel import (
 )
 from .numprob import (
     Bijection,
-    ElementTooLargeError,
-    LengthMismatchError,
-    NegativeDemandError,
     NumberSolution,
-    OddSumError,
     demands_from_solution,
     reduce_partition_to_nda,
     solve_nda,

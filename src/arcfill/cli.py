@@ -451,14 +451,7 @@ def _cmd_solve(args, out, err) -> int:
     instance = parse_instance(_read(args.input))
     solution = solve(instance)
     if args.oracle and not _cross_check(
-        solution,
-        lambda: brute_force_graph(
-            instance,
-            max_vertices=args.oracle_max_vertices,
-            max_budget=args.oracle_max_budget,
-        ),
-        out,
-        err,
+        solution, lambda: brute_force_graph(instance), out, err
     ):
         return 2
     return _answer(args, instance, solution, out)
@@ -466,9 +459,7 @@ def _cmd_solve(args, out, err) -> int:
 
 def _cmd_oracle(args, out, err) -> int:
     instance = parse_instance(_read(args.input))
-    solution = brute_force_graph(
-        instance, max_vertices=args.max_vertices, max_budget=args.max_budget
-    )
+    solution = brute_force_graph(instance)
     return _answer(args, instance, solution, out)
 
 
@@ -585,14 +576,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", help="write the solution file here")
     p.add_argument("--oracle", action="store_true", help="cross-check with brute force")
-    p.add_argument("--oracle-max-vertices", type=int, default=7)
-    p.add_argument("--oracle-max-budget", type=int, default=5)
 
     p = sub.add_parser("oracle", help="solve a small instance by brute force")
     p.add_argument("--input", required=True)
     p.add_argument("--output")
-    p.add_argument("--max-vertices", type=int, default=7)
-    p.add_argument("--max-budget", type=int, default=5)
 
     p = sub.add_parser("verify", help="check a solution file against its instance")
     p.add_argument("--input", required=True)
@@ -650,7 +637,7 @@ def run(argv, out=None, err=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return _HANDLERS[args.command](args, out, err)
-    except (ParseError, SemanticError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 2
     except Exception as exc:

@@ -14,10 +14,6 @@ from typing import Iterable, NamedTuple
 Arc = tuple[int, int]
 
 
-class LoopArcError(ValueError):
-    """An arc (v, v) was supplied; loops are not allowed."""
-
-
 class DegreePair(NamedTuple):
     """An (indegree, outdegree) pair with componentwise arithmetic."""
 
@@ -64,7 +60,7 @@ class Digraph:
         for raw in arcs:
             u, v = int(raw[0]), int(raw[1])
             if u == v:
-                raise LoopArcError(f"loop arc ({u}, {v})")
+                raise ValueError(f"loop arc ({u}, {v})")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc ({u}, {v}) out of range for n={n}")
             if (u, v) in arc_set:

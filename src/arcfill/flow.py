@@ -22,10 +22,6 @@ from dataclasses import dataclass
 from .core import Arc, Digraph
 
 
-class UnbalancedDemandsError(ValueError):
-    """Total indegree and outdegree increments differ."""
-
-
 class PreconditionViolatedError(ValueError):
     """A guaranteed-realization precondition failed; `.condition` names it."""
 
@@ -212,7 +208,7 @@ def try_realize_demands(d: Digraph, demands: DemandVector) -> set[Arc] | None:
     """
     net = build_network(d, demands)
     if not demands.is_balanced:
-        raise UnbalancedDemandsError(
+        raise ValueError(
             f"total in {demands.total_in} != total out {demands.total_out}"
         )
     value, saturated = max_flow(net)

@@ -33,10 +33,6 @@ from .problems import (
 Arc = tuple[int, int]
 
 
-class SolutionTouchesAddedVertexError(ValueError):
-    """A kernel solution uses a repair vertex, so it cannot be lifted."""
-
-
 class KernelVerdict(Enum):
     REDUCED = "reduced"
     TRIVIAL_YES = "trivial_yes"
@@ -323,8 +319,6 @@ def lift_solution(result: KernelResult, kernel_solution) -> set[Arc]:
     lifted = set()
     for (u, v) in sorted(arcs):
         if u in result.added or v in result.added:
-            raise SolutionTouchesAddedVertexError(
-                f"kernel arc ({u}, {v}) touches a repair vertex"
-            )
+            raise ValueError(f"kernel arc ({u}, {v}) touches a repair vertex")
         lifted.add((result.kept[u], result.kept[v]))
     return lifted

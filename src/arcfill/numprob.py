@@ -16,22 +16,6 @@ from .core import DegreeListFunction, DegreePair, DegreeSequence
 from .flow import DemandVector
 
 
-class LengthMismatchError(ValueError):
-    """Two sequences that must be index-aligned have different lengths."""
-
-
-class NegativeDemandError(ValueError):
-    """A target entry is componentwise below its source entry."""
-
-
-class OddSumError(ValueError):
-    """Partition input does not sum to an even total."""
-
-
-class ElementTooLargeError(ValueError):
-    """Partition input contains an element at least half the total."""
-
-
 @dataclass(frozen=True)
 class NumberSolution:
     """Witness for a number problem: output sequence plus its increments.
@@ -68,14 +52,12 @@ def demands_from_solution(
 ) -> DemandVector:
     """Componentwise increments turning sigma into target."""
     if len(sigma) != len(target):
-        raise LengthMismatchError(
-            f"sequence lengths differ: {len(sigma)} vs {len(target)}"
-        )
+        raise ValueError(f"sequence lengths differ: {len(sigma)} vs {len(target)}")
     in_demand = []
     out_demand = []
     for i, (src, dst) in enumerate(zip(sigma, target)):
         if not dst.dominates(src):
-            raise NegativeDemandError(
+            raise ValueError(
                 f"entry {i}: target {tuple(dst)} below source {tuple(src)}"
             )
         in_demand.append(dst.indeg - src.indeg)
@@ -99,9 +81,7 @@ def solve_nddcc(
     """
     n = len(sigma)
     if len(lists) != n:
-        raise LengthMismatchError(
-            f"list function covers {len(lists)} entries, sequence has {n}"
-        )
+        raise ValueError(f"list function covers {len(lists)} entries, sequence has {n}")
     if s < 0:
         raise ValueError("budget must be nonnegative")
     low = s if low is None else low
@@ -156,7 +136,7 @@ def solve_nddsc(sigma: DegreeSequence, phi: DegreeSequence) -> Bijection | None:
     """
     n = len(sigma)
     if len(phi) != n:
-        raise LengthMismatchError(f"sequence lengths differ: {n} vs {len(phi)}")
+        raise ValueError(f"sequence lengths differ: {n} vs {len(phi)}")
     rows_of = {
         t: [j for j in range(n) if phi[j].dominates(t)] for t in set(sigma)
     }
@@ -400,13 +380,11 @@ def reduce_partition_to_nda(values) -> tuple[DegreeSequence, int, int]:
         raise ValueError("input must be a nonempty multiset of positive integers")
     total = sum(values)
     if total % 2 != 0:
-        raise OddSumError(f"values sum to odd total {total}")
+        raise ValueError(f"values sum to odd total {total}")
     half = total // 2
     too_big = [a for a in values if a > half]
     if too_big:
-        raise ElementTooLargeError(
-            f"element {too_big[0]} exceeds half the total {half}"
-        )
+        raise ValueError(f"element {too_big[0]} exceeds half the total {half}")
     entries = []
     for position, a in enumerate(values, start=1):
         base = 2 * half * (position + 1)

@@ -10,7 +10,6 @@ from arcfill import (
     DegreeSequence,
     Digraph,
     ListCompletion,
-    LoopArcError,
     SequenceCompletion,
 )
 
@@ -21,7 +20,7 @@ def add_arcs(d: Digraph, new_arcs) -> Digraph:
     for raw in new_arcs:
         u, v = int(raw[0]), int(raw[1])
         if u == v:
-            raise LoopArcError(f"loop arc ({u}, {v})")
+            raise ValueError(f"loop arc ({u}, {v})")
         if not (0 <= u < d.n and 0 <= v < d.n):
             raise ValueError(f"arc ({u}, {v}) out of range for n={d.n}")
         if (u, v) in d.arcs:

@@ -1,9 +1,15 @@
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 from arcfill import (
+    AnonymityCompletion,
     DegreeListFunction,
     DegreeSequence,
     Digraph,
@@ -394,6 +400,50 @@ def test_internal_error_exits_3(tmp_path, monkeypatch):
     assert code == 3
     assert "internal error: RecursionError" in err
     assert "decision" not in out
+
+
+# The degree cap is 16 here, so budget 513 > 2 * 16**2 takes the number + flow
+# route, which realizes its demands by max flow.
+_FLOW_ROUTE = AnonymityCompletion(Digraph(33), 1, 513)
+
+
+def test_short_max_flow_is_an_internal_error(tmp_path, monkeypatch):
+    instance_path = tmp_path / "instance.json"
+    instance_path.write_text(emit_instance(_FLOW_ROUTE))
+    monkeypatch.setattr("arcfill.flow.max_flow", lambda net: (0, frozenset()))
+    code, out, err = _run(["solve", "--input", str(instance_path)])
+    assert code == 3
+    assert "internal error: AssertionError" in err
+    assert "decision" not in out
+
+
+def test_short_max_flow_raises_under_optimize_flag():
+    """The realization check raises even when ``python -O`` strips asserts."""
+    script = textwrap.dedent(
+        """
+        import sys
+        import arcfill.flow as flow
+        from arcfill import AnonymityCompletion, Digraph, solve
+
+        if __debug__:
+            sys.exit("expected to run under -O")
+        flow.max_flow = lambda net: (0, frozenset())
+        try:
+            solve(AnonymityCompletion(Digraph(33), 1, 513))
+        except AssertionError as exc:
+            print("raised:", exc)
+        else:
+            sys.exit("a short max flow went unnoticed")
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "raised: realization guarantee violated" in done.stdout
 
 
 def _edited(instance, **fields) -> str:

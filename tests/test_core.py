@@ -9,7 +9,6 @@ from arcfill import (
     DegreePair,
     DegreeSequence,
     Digraph,
-    LoopArcError,
     blocks,
     degree_sequence,
     is_satisfied,
@@ -29,10 +28,23 @@ def digraphs(draw, max_n: int = 6):
 
 
 def test_digraph_rejects_loops_and_bad_range():
-    with pytest.raises(LoopArcError):
+    with pytest.raises(ValueError, match=r"loop arc \(1, 1\)"):
         Digraph(3, [(1, 1)])
     with pytest.raises(ValueError):
         Digraph(2, [(0, 2)])
+
+
+def test_digraph_value_semantics():
+    d = Digraph(2, [(0, 1)])
+    assert d.has_arc(0, 1)
+    assert not d.has_arc(1, 0)
+    same = Digraph(3, [(1, 2), (0, 1), (1, 2)])
+    assert same == Digraph(3, [(0, 1), (1, 2)])
+    assert hash(same) == hash(Digraph(3, [(0, 1), (1, 2)]))
+    assert repr(Digraph(3, [(0, 1), (1, 2), (0, 1)])) == (
+        "Digraph(n=3, arcs=[(0, 1), (1, 2)])"
+    )
+    assert Digraph(1) != 1
 
 
 def test_digraph_drops_a_repeated_arc():
@@ -107,7 +119,7 @@ def test_add_arcs_examples():
     )
     with pytest.raises(ValueError, match="already present"):
         add_arcs(d, [(0, 1)])
-    with pytest.raises(LoopArcError):
+    with pytest.raises(ValueError, match=r"loop arc \(2, 2\)"):
         add_arcs(d, [(2, 2)])
 
 

@@ -10,7 +10,6 @@ from arcfill import (
     KernelVerdict,
     ListCompletion,
     SequenceCompletion,
-    SolutionTouchesAddedVertexError,
     TrivialNoReason,
     brute_force_graph,
     compute_alpha_set,
@@ -381,7 +380,7 @@ def test_lift_solution_paths():
     target[1] = (1, 0)
     reduced = kernelize_ddseqc(d, DegreeSequence(target))
     dummy = min(reduced.added)
-    with pytest.raises(SolutionTouchesAddedVertexError):
+    with pytest.raises(ValueError, match="touches a repair vertex"):
         lift_solution(reduced, [(0, dummy)])
 
 

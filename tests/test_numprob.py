@@ -12,10 +12,6 @@ from arcfill import (
     Bijection,
     DegreeListFunction,
     DegreeSequence,
-    ElementTooLargeError,
-    LengthMismatchError,
-    NegativeDemandError,
-    OddSumError,
     brute_force_nda,
     brute_force_nddcc,
     brute_force_nddsc,
@@ -127,7 +123,7 @@ def test_solve_nddsc_fixture_pair():
 
 
 def test_solve_nddsc_length_mismatch():
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(ValueError, match="sequence lengths differ: 1 vs 2"):
         solve_nddsc(DegreeSequence([(0, 0)]), DegreeSequence([(0, 0), (1, 1)]))
 
 
@@ -286,9 +282,9 @@ def test_reduce_partition_layout():
 
 
 def test_reduce_partition_guards():
-    with pytest.raises(ElementTooLargeError):
+    with pytest.raises(ValueError, match="element 3 exceeds half the total 2"):
         reduce_partition_to_nda([1, 3])
-    with pytest.raises(OddSumError):
+    with pytest.raises(ValueError, match="values sum to odd total 5"):
         reduce_partition_to_nda([1, 1, 3])
     with pytest.raises(ValueError):
         reduce_partition_to_nda([])
@@ -335,9 +331,9 @@ def test_demands_from_solution():
     demands = demands_from_solution(fixture, reordered_target)
     assert demands.in_demand == (1, 0, 0, 0)
     assert demands.out_demand == (0, 0, 0, 1)
-    with pytest.raises(NegativeDemandError):
+    with pytest.raises(ValueError, match="entry 0: target .* below source"):
         demands_from_solution(DegreeSequence([(1, 0)]), DegreeSequence([(0, 1)]))
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(ValueError, match="sequence lengths differ: 1 vs 0"):
         demands_from_solution(DegreeSequence([(1, 0)]), DegreeSequence(()))
 
 

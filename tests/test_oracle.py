@@ -9,10 +9,12 @@ from arcfill import (
     Digraph,
     InstanceTooLargeError,
     NumberSolution,
+    SequenceCompletion,
     brute_force_graph,
     brute_force_nda,
     brute_force_nddcc,
     brute_force_nddsc,
+    solve,
     verify_solution,
 )
 from arcfill.oracle import (
@@ -50,6 +52,15 @@ def test_graph_oracle_guards():
         brute_force_graph(AnonymityCompletion(Digraph(9), 2, 1), max_vertices=9)
         is not None
     )
+
+
+def test_graph_oracle_no_when_forced_size_exceeds_insertable_pairs():
+    # The target needs two more arcs, but only the pair (1, 0) is free.
+    inst = SequenceCompletion(
+        Digraph(2, [(0, 1)]), DegreeSequence([(1, 2), (2, 1)])
+    )
+    assert brute_force_graph(inst) is None
+    assert solve(inst) is None
 
 
 def test_number_oracle_nddcc():
