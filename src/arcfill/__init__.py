@@ -63,7 +63,6 @@ from .problems import (
     ListCompletion,
     ProblemInstance,
     SequenceCompletion,
-    dda_delta_star_cap,
 )
 from .search import Solution, build_certificate, solve, solve_bounded, verify_solution
 

@@ -169,7 +169,7 @@ def kernelize_ddseqc(d: Digraph, target: DegreeSequence) -> KernelResult:
     dummies' degrees.
     """
     instance = SequenceCompletion(d, target)
-    s = instance.implied_insertions()
+    s = instance.size_budget()
     if s is None or instance.size_floor() > s:
         if d.max_indegree > target.max_indeg or d.max_outdegree > target.max_outdeg:
             reason = TrivialNoReason.TARGET_MAX_TOO_SMALL

@@ -39,12 +39,8 @@ class Bijection(tuple[int, ...]):
             raise ValueError("mapping is not a permutation")
         return self
 
-    @property
-    def mapping(self) -> tuple[int, ...]:
-        return tuple(self)
-
     def __repr__(self) -> str:
-        return f"Bijection(mapping={self.mapping!r})"
+        return f"Bijection(mapping={tuple(self)!r})"
 
 
 def demands_from_solution(

@@ -49,7 +49,7 @@ def brute_force_graph(
         budget = instance.budget
         sizes = None
     elif isinstance(instance, SequenceCompletion):
-        budget = instance.implied_insertions()
+        budget = instance.size_budget()
         if budget is None:
             return None
         sizes = [budget]

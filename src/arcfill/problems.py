@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Union
 
 from .core import DegreeListFunction, DegreeSequence, Digraph, degree_sequence
 
@@ -29,8 +28,8 @@ def _roof(d: Digraph) -> int:
     return max(d.n - 1, 0)
 
 
-class _Problem:
-    """Defaults shared by the instance types.
+class ProblemInstance:
+    """Base of the three instance types, with the defaults they share.
 
     Each type's ``degree_cap()`` bounds the max in-/outdegree of any solution
     digraph.  It is always clamped to n - 1, since no simple digraph on n
@@ -51,7 +50,7 @@ class _Problem:
 
 
 @dataclass(frozen=True)
-class ListCompletion(_Problem):
+class ListCompletion(ProblemInstance):
     """Insert at most ``budget`` arcs so every vertex hits an allowed pair."""
 
     digraph: Digraph
@@ -128,7 +127,7 @@ class ListCompletion(_Problem):
 
 
 @dataclass(frozen=True)
-class SequenceCompletion(_Problem):
+class SequenceCompletion(ProblemInstance):
     """Insert arcs so the degree sequence equals ``target`` as a multiset."""
 
     digraph: Digraph
@@ -142,7 +141,7 @@ class SequenceCompletion(_Problem):
     final_key = "target_sequence_matched"
     exact_size = True
 
-    def implied_insertions(self) -> int | None:
+    def size_budget(self) -> int | None:
         """Arc count forced by the target, or None if the totals are invalid."""
         # Indegrees and outdegrees of a digraph each sum to its arc count.
         grow_in = self.target.sum_indeg - self.digraph.m
@@ -154,9 +153,6 @@ class SequenceCompletion(_Problem):
     def degree_cap(self) -> int:
         return min(self.target.max_component, _roof(self.digraph))
 
-    def size_budget(self) -> int | None:
-        return self.implied_insertions()
-
     def size_floor(self) -> int:
         """The forced size, or more when no solution exists."""
         # Degrees only grow, so a current max above the target's rules every
@@ -164,7 +160,7 @@ class SequenceCompletion(_Problem):
         # block, so a block that the target holds e fewer times needs e / 2
         # arcs.
         d, target = self.digraph, self.target
-        s = self.implied_insertions()
+        s = self.size_budget()
         if s is None:
             return _free_pairs(d) + 1
         if d.max_indegree > target.max_indeg or d.max_outdegree > target.max_outdeg:
@@ -175,7 +171,9 @@ class SequenceCompletion(_Problem):
 
     def at_budget(self, s: int | None) -> "SequenceCompletion | None":
         d = self.digraph
-        if s is None or s > _free_pairs(d) or self.target.max_component > _roof(d):
+        # With every target component at most n - 1, s = sum of target
+        # indegrees - m <= n(n - 1) - m, the number of insertable arcs.
+        if s is None or self.target.max_component > _roof(d):
             return None
         return self
 
@@ -189,7 +187,7 @@ class SequenceCompletion(_Problem):
 
 
 @dataclass(frozen=True)
-class AnonymityCompletion(_Problem):
+class AnonymityCompletion(ProblemInstance):
     """Insert at most ``budget`` arcs so every degree pair occurs >= k times."""
 
     digraph: Digraph
@@ -206,8 +204,12 @@ class AnonymityCompletion(_Problem):
     final_key = "anonymity_reached"
 
     def degree_cap(self) -> int:
-        d = self.digraph
-        return min(dda_delta_star_cap(d, self.anonymity, self.budget), _roof(d))
+        # Minimum-size solutions never raise the maximum degree beyond
+        # 4 * k * (max_degree + 2)**2 + max_degree, and s insertions add at
+        # most s to any single degree.
+        d, k = self.digraph, self.anonymity
+        delta = d.max_degree
+        return min(delta + self.budget, 4 * k * (delta + 2) ** 2 + delta, _roof(d))
 
     def size_floor(self) -> int:
         """A lower bound on the arc count of any solution.
@@ -224,9 +226,12 @@ class AnonymityCompletion(_Problem):
         ceil(max(E, F) / 2) over all splits of the small blocks into emptied
         and filled ones.  It is above 0 exactly when the digraph is not
         k-anonymous, and never below ceil(min(b, k - b) / 2) for any block.
+
+        With 0 < n < k no degree pair can occur k times, so the floor then
+        goes above the number of insertable pairs.
         """
-        k = self.anonymity
-        have = degree_sequence(self.digraph).as_multiset()
+        d, k = self.digraph, self.anonymity
+        have = degree_sequence(d).as_multiset()
         # Least filling total for each emptying total, over the blocks so far;
         # an emptying total is at most n, so the map holds at most n + 1 keys.
         best = {0: 0}
@@ -241,7 +246,8 @@ class AnonymityCompletion(_Problem):
                     if fill + f < step.get(empty + e, fill + f + 1):
                         step[empty + e] = fill + f
             best = step
-        return min((max(empty, fill) + 1) // 2 for empty, fill in best.items())
+        floor = min((max(empty, fill) + 1) // 2 for empty, fill in best.items())
+        return max(floor, _free_pairs(d) + 1) if 0 < d.n < k else floor
 
     def at_budget(self, s: int) -> "AnonymityCompletion":
         d = self.digraph
@@ -255,17 +261,3 @@ class AnonymityCompletion(_Problem):
 
     def wire_fields(self) -> dict:
         return {"anonymity": self.anonymity, "budget": self.budget}
-
-
-ProblemInstance = Union[ListCompletion, SequenceCompletion, AnonymityCompletion]
-
-
-def dda_delta_star_cap(d: Digraph, k: int, s: int) -> int:
-    """Upper bound on the max in-/outdegree of any minimal anonymized digraph.
-
-    Minimum-size solutions never raise the maximum degree beyond
-    4*k*(max_degree + 2)^2 + max_degree, and s insertions can add at most s
-    to any single degree; the cap is the smaller of the two.
-    """
-    delta = d.max_degree
-    return min(delta + s, 4 * k * (delta + 2) * (delta + 2) + delta)

@@ -95,16 +95,16 @@ def _finish(instance: ProblemInstance, arcs) -> Solution:
     return Solution(tuple(arcs), cert)
 
 
-def solve_bounded(instance: ProblemInstance) -> Solution | None:
+def solve_bounded(instance: ProblemInstance) -> tuple[Arc, ...] | None:
     """Exhaustive search over arc sets inside a representative vertex set.
 
     A ``size_floor()`` above the budget is a "no" before any set is built.
     Candidate arcs are the insertable pairs within the representative set,
     sorted by (tail, head).  ``itertools.combinations`` yields their subsets
     by increasing cardinality, starting at the floor, and then lexicographic
-    rank, so the first valid hit is the canonical minimal solution.
-    ``solve`` runs it on the input itself, once the budget is at most twice
-    the squared degree cap.
+    rank, so the first valid hit, returned as its arcs, is the canonical
+    minimal solution.  ``solve`` runs it on the input itself, once the budget
+    is at most twice the squared degree cap, and certifies the hit.
     """
     d = instance.digraph
     budget = instance.size_budget()
@@ -140,7 +140,7 @@ def solve_bounded(instance: ProblemInstance) -> Solution | None:
                 outdeg[u] -= 1
                 indeg[v] -= 1
             if found:
-                return _finish(instance, arcs)
+                return arcs
     return None
 
 
@@ -218,9 +218,7 @@ def solve(instance: ProblemInstance) -> Solution | None:
         if work.exact_size:
             # The size is forced, so no smaller budget is left to try.
             return None
-        # Lowering the budget to the threshold keeps the cap (see _Problem).
+        # Lowering the budget to the threshold keeps the cap (see ProblemInstance).
         work = work.at_budget(threshold)
-    inner = solve_bounded(work)
-    if inner is None:
-        return None
-    return _finish(instance, inner.arcs)
+    arcs = solve_bounded(work)
+    return None if arcs is None else _finish(instance, arcs)

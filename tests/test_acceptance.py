@@ -282,7 +282,7 @@ def test_criterion_07_kernel_equivalence_and_bounds():
         assert (kernel_answer is None) == (original is None)
         if result.verdict is KernelVerdict.REDUCED:
             reduced["ddseqc"] += 1
-            s = inst.implied_insertions()
+            s = inst.size_budget()
             alpha = 2 * s * (inst.digraph.max_degree + 1)
             assert len(result.kept) <= alpha * (inst.digraph.max_degree + 1) ** 2
             assert len(result.added) == inst.target.max_component + 2
@@ -396,7 +396,7 @@ def test_criterion_09_lift_back_and_cli_verification(tmp_path):
         if result.verdict in (KernelVerdict.REDUCED, KernelVerdict.UNCHANGED):
             inner = solve_bounded(result.instance)
             assert inner is not None
-            lifted = lift_solution(result, inner.arcs)
+            lifted = lift_solution(result, inner)
             assert verify_solution(inst, Solution(tuple(lifted), {}))
             kernel_yes += 1
         # Every solve output re-verifies through the CLI verify subcommand.

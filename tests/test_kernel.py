@@ -232,7 +232,7 @@ def test_kernelize_ddseqc_equivalence():
         assert (kernel_answer is None) == (original is None)
         if result.verdict is KernelVerdict.REDUCED:
             reduced_seen += 1
-            s = inst.implied_insertions()
+            s = inst.size_budget()
             alpha = 2 * s * (inst.digraph.max_degree + 1)
             blocks_bound = (inst.digraph.max_degree + 1) ** 2
             kept_count = len(result.kept)

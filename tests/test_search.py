@@ -6,6 +6,8 @@ import textwrap
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 from arcfill import (
     AnonymityCompletion,
     DegreeListFunction,
@@ -14,7 +16,6 @@ from arcfill import (
     ListCompletion,
     SequenceCompletion,
     brute_force_graph,
-    dda_delta_star_cap,
     degree_sequence,
     solve,
     solve_bounded,
@@ -72,20 +73,20 @@ def test_zero_budget_decides_by_current_state():
 
 
 def test_dda_delta_star_cap_examples():
-    assert dda_delta_star_cap(Digraph(101), 1, 100) == 16
-    two_cycle = Digraph(2, [(0, 1), (1, 0)])
-    assert dda_delta_star_cap(two_cycle, 2, 1) == 2
-    d = Digraph(4, [(0, 1), (0, 2), (1, 2), (3, 0), (3, 1)])
+    # Each digraph has enough vertices that the n - 1 clamp does not bind.
+    assert AnonymityCompletion(Digraph(101), 1, 100).degree_cap() == 16
+    two_cycle = Digraph(4, [(0, 1), (1, 0)])
+    assert AnonymityCompletion(two_cycle, 2, 1).degree_cap() == 2
+    d = Digraph(200, [(0, 1), (0, 2), (1, 2), (3, 0), (3, 1)])
     assert d.max_degree == 2
-    assert dda_delta_star_cap(d, 3, 500) == 194
+    assert AnonymityCompletion(d, 3, 500).degree_cap() == 194
 
 
 def test_solve_bounded_on_fixtures():
     assert solve_bounded(list_example_yes()) is not None
     assert solve_bounded(list_example_no()) is None
     any_graph = Digraph(3, [(0, 1)])
-    trivial = solve_bounded(AnonymityCompletion(any_graph, 1, 0))
-    assert trivial is not None and trivial.arcs == ()
+    assert solve_bounded(AnonymityCompletion(any_graph, 1, 0)) == ()
 
 
 def test_solve_bounded_without_a_size_budget_is_a_no():
@@ -108,7 +109,7 @@ def test_solve_bounded_survives_low_recursion_limit():
         target = degree_sequence(Digraph(12, pairs[:100]))
         sys.setrecursionlimit(80)
         found = solve_bounded(SequenceCompletion(Digraph(12), target))
-        print(found is not None and list(found.arcs) == pairs[:100])
+        print(found is not None and list(found) == pairs[:100])
         """
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -243,7 +244,7 @@ def test_sequence_large_budget_matching_no_skips_the_search(monkeypatch):
     monkeypatch.setattr(search, "solve_bounded", searched)
     d = Digraph(12, [(0, 1), (0, 2), (3, 4), (3, 5)])
     inst = SequenceCompletion(d, DegreeSequence([(2, 2)] + [(1, 1)] * 11))
-    assert inst.implied_insertions() == 9 and inst.degree_cap() == 2
+    assert inst.size_budget() == 9 and inst.degree_cap() == 2
     assert solve(inst) is None
     assert matchings == [None]
 
@@ -399,6 +400,30 @@ def test_certificates_record_checks():
     assert anonymous.certificate["anonymity_reached"]
     listy = solve(list_example_yes())
     assert listy.certificate["degree_lists_satisfied"]
+
+
+@pytest.mark.parametrize(
+    "instance, number_route",
+    [
+        (list_example_yes(), False),
+        # The golden dda-number-flow case: budget 513 > 2 * 16**2.
+        (AnonymityCompletion(Digraph(33), 1, 513), True),
+    ],
+    ids=["search", "number"],
+)
+def test_solve_certifies_a_yes_once(instance, number_route, monkeypatch):
+    cap = instance.degree_cap()
+    assert (instance.size_budget() > 2 * cap * cap) == number_route
+    calls = []
+    original = search.build_certificate
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(search, "build_certificate", counted)
+    assert solve(instance) is not None
+    assert len(calls) == 1
 
 
 def test_end_to_end_matches_bruteforce_sample():
